@@ -1,5 +1,8 @@
 #include "meta/adapted_tagger.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "meta/fewner.h"
 #include "tensor/eval_mode.h"
 
@@ -37,19 +40,37 @@ AdaptedTagger::AdaptedTagger(Fewner* method, const models::EncodedEpisode& episo
 
 std::vector<int64_t> AdaptedTagger::Tag(
     const models::EncodedSentence& sentence) const {
-  tensor::EvalMode eval;
-  return backbone_->Decode(sentence, phi_, valid_tags_);
+  return TagAll({sentence}).front();
 }
 
 std::vector<std::vector<int64_t>> AdaptedTagger::TagAll(
     const std::vector<models::EncodedSentence>& sentences) const {
-  if (sentences.empty()) return {};
+  // Zero tokens have exactly one tagging, the empty one: such lanes answer {}
+  // and only the non-empty sentences are packed (none, if all are empty).
+  std::vector<std::vector<int64_t>> tags(sentences.size());
+  const auto is_empty = [](const models::EncodedSentence& s) {
+    return s.length() == 0;
+  };
+  // Copy only when a lane is empty; a normal request is packed as is.
+  std::vector<models::EncodedSentence> nonempty;
+  const std::vector<models::EncodedSentence>* packed = &sentences;
+  if (std::any_of(sentences.begin(), sentences.end(), is_empty)) {
+    std::remove_copy_if(sentences.begin(), sentences.end(),
+                        std::back_inserter(nonempty), is_empty);
+    packed = &nonempty;
+  }
+  if (packed->empty()) return tags;
   // One batched graph-free prefix + suffix for the whole query set, then
-  // per-lane Viterbi — identical tags to sentence-at-a-time Decode (see
+  // per-lane Viterbi — identical tags to a B=1 DecodeBatch per sentence (see
   // DESIGN.md §7; the prefix/suffix split changes no op in this regime).
   tensor::EvalMode eval;
-  return backbone_->DecodeBatchFromPrefix(
-      backbone_->EncodePrefix(models::PackBatch(sentences)), phi_, valid_tags_);
+  std::vector<std::vector<int64_t>> decoded = backbone_->DecodeBatchFromPrefix(
+      backbone_->EncodePrefix(models::PackBatch(*packed)), phi_, valid_tags_);
+  auto next = decoded.begin();
+  for (size_t i = 0; i < sentences.size(); ++i) {
+    if (sentences[i].length() > 0) tags[i] = std::move(*next++);
+  }
+  return tags;
 }
 
 void AdaptedTagger::ReAdapt(int64_t extra_steps) {

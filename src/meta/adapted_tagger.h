@@ -44,10 +44,12 @@ class AdaptedTagger {
   /// test-time inner-loop settings.
   AdaptedTagger(Fewner* method, const models::EncodedEpisode& episode);
 
-  /// Viterbi tag sequence for one sentence, computed entirely under EvalMode.
+  /// Viterbi tag sequence for one sentence: TagAll({sentence}).front().
   std::vector<int64_t> Tag(const models::EncodedSentence& sentence) const;
 
-  /// Tags a batch of sentences (one EvalMode scope for the whole batch).
+  /// Tags a batch of sentences (one EvalMode scope for the whole batch).  An
+  /// empty sentence gets the empty tag sequence and does not change the tags
+  /// of the other lanes.
   std::vector<std::vector<int64_t>> TagAll(
       const std::vector<models::EncodedSentence>& sentences) const;
 

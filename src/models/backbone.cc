@@ -179,96 +179,157 @@ Tensor Backbone::LaneDropout(const Tensor& x, const EncodedBatch& batch,
   return tensor::Mul(x, Tensor::FromData(x.shape(), std::move(mask)));
 }
 
-Tensor Backbone::EncodeBatchImpl(const EncodedBatch& batch, const Tensor& phi,
-                                 const std::vector<util::Rng*>& lane_rngs) const {
-  const int64_t lanes = batch.batch;
-  const int64_t max_len = batch.max_len;
-  FEWNER_CHECK(lanes > 0 && max_len > 0, "EncodeBatch on empty batch");
-  FEWNER_CHECK(static_cast<int64_t>(lane_rngs.size()) == lanes,
-               "EncodeBatch lane rng count mismatch");
+Tensor Backbone::Recur(const Tensor& x, const std::vector<int64_t>& lengths) const {
+  return bigru_ ? bigru_->ForwardBatch(x, lengths)
+                : bilstm_->ForwardBatch(x, lengths);
+}
 
+Tensor Backbone::PrefixStage(const EncodedBatch& run,
+                             const std::vector<util::Rng*>& lane_rngs) const {
+  const int64_t lanes = run.batch;
+  const int64_t max_len = run.max_len;
+  FEWNER_CHECK(lanes > 0 && max_len > 0, "prefix stage on empty batch");
+  FEWNER_CHECK(static_cast<int64_t>(lane_rngs.size()) == lanes,
+               "prefix stage lane rng count mismatch");
   // One embedding gather + one CharCnn pass over all B*Lmax tokens.  Every op
   // here is per-row (GEMM rows are bitwise-independent under the ascending-k
-  // kernel contract), so lane b's rows match the per-sentence pipeline.
-  Tensor words = word_embedding_->Forward(batch.word_ids);  // [B*L, word_dim]
+  // kernel contract), so lane b's rows match a B=1 pass on its sentence.
+  Tensor words = word_embedding_->Forward(run.word_ids);  // [B*L, word_dim]
   Tensor input = words;
   if (config_.use_char_cnn) {
-    Tensor chars = char_cnn_->ForwardBatch(batch.char_ids);  // [B*L, char_feat]
+    Tensor chars = char_cnn_->ForwardBatch(run.char_ids);  // [B*L, char_feat]
     input = tensor::Concat({words, chars}, 1);
   }
-  Tensor input3 = tensor::Reshape(
-      input, Shape{lanes, max_len, input.shape().dim(1)});
-  input3 = LaneDropout(input3, batch, lane_rngs);
+  Tensor input3 =
+      tensor::Reshape(input, Shape{lanes, max_len, input.shape().dim(1)});
+  input3 = LaneDropout(input3, run, lane_rngs);
+  // Method A threads φ into the RNN input, so the recurrence is φ-dependent
+  // and the prefix stops at the token features.  kFilm/kNone: φ enters after
+  // the encoder (or never), so the full recurrent pass is θ-only.
+  if (config_.conditioning == Conditioning::kConcat) return input3;
+  return Recur(input3, run.lengths);
+}
+
+Tensor Backbone::SuffixStage(const EncodedBatch& run, const Tensor& features,
+                             const Tensor& phi,
+                             const std::vector<util::Rng*>& lane_rngs) const {
+  const int64_t lanes = run.batch;
+  const int64_t max_len = run.max_len;
+  Tensor hidden3 = features;  // kNone: the suffix is emission + CRF only
   if (config_.conditioning == Conditioning::kConcat) {
     FEWNER_CHECK(phi.defined(), "kConcat conditioning requires a context vector");
     // Method A (paper Eq. 7): φ joins every token's input features.
     Tensor phi_rows = tensor::BroadcastTo(
         tensor::Reshape(phi, Shape{1, 1, config_.context_dim}),
         Shape{lanes, max_len, config_.context_dim});
-    input3 = tensor::Concat({input3, phi_rows}, 2);
-  }
-  Tensor hidden3 = bigru_ ? bigru_->ForwardBatch(input3, batch.lengths)
-                          : bilstm_->ForwardBatch(input3, batch.lengths);
-  if (config_.conditioning == Conditioning::kFilm) {
+    hidden3 = Recur(tensor::Concat({features, phi_rows}, 2), run.lengths);
+  } else if (config_.conditioning == Conditioning::kFilm) {
     FEWNER_CHECK(phi.defined(), "kFilm conditioning requires a context vector");
     // Method B (paper Eq. 8-9): modulate the BiGRU output so adapted hidden
     // states feed task-specific label dependencies into the CRF.  FiLM's γ/η
     // broadcast is per-row, so flattening lanes is exact.
     Tensor hidden2 = film_->Forward(
-        tensor::Reshape(hidden3, Shape{lanes * max_len, 2 * config_.hidden_dim}),
+        tensor::Reshape(features, Shape{lanes * max_len, 2 * config_.hidden_dim}),
         phi);
-    hidden3 = tensor::Reshape(hidden2,
-                              Shape{lanes, max_len, 2 * config_.hidden_dim});
+    hidden3 =
+        tensor::Reshape(hidden2, Shape{lanes, max_len, 2 * config_.hidden_dim});
   }
-  return LaneDropout(hidden3, batch, lane_rngs);
+  return LaneDropout(hidden3, run, lane_rngs);
 }
 
-Tensor Backbone::EmissionsBatchImpl(const EncodedBatch& batch, const Tensor& phi,
-                                    const std::vector<util::Rng*>& lane_rngs) const {
-  Tensor encoded = EncodeBatchImpl(batch, phi, lane_rngs);  // [B, L, 2H]
-  Tensor emissions2 = emission_->Forward(tensor::Reshape(
-      encoded, Shape{batch.batch * batch.max_len, 2 * config_.hidden_dim}));
-  return tensor::Reshape(
-      emissions2, Shape{batch.batch, batch.max_len, config_.max_tags});
+void Backbone::ForEachRun(const EncodedBatch* batch, const CachedPrefix* prefix,
+                          const Tensor& phi, std::vector<util::Rng> lane_rngs,
+                          const RunConsumer& consume, CachedPrefix* into) const {
+  if (prefix != nullptr) CheckPrefix(*prefix);
+  // Length-bucketed execution: each near-homogeneous lane run gets its own
+  // padded forward, so a ragged batch does not pay every lane at the longest
+  // lane's length.  Lane values are identical under any partition.  A cached
+  // prefix was split by the same LaneRuns partition at EncodePrefix time.
+  const std::vector<std::pair<int64_t, int64_t>> spans =
+      prefix != nullptr ? std::vector<std::pair<int64_t, int64_t>>{}
+                        : LaneRuns(batch->lengths);
+  const size_t num_runs = prefix != nullptr ? prefix->runs.size() : spans.size();
+  int64_t begin = 0;
+  for (size_t r = 0; r < num_runs; ++r) {
+    const CachedPrefix::Run* cached =
+        prefix != nullptr ? &prefix->runs[r] : nullptr;
+    const int64_t count = cached != nullptr ? cached->batch.batch : spans[r].second;
+    std::vector<util::Rng*> run_rngs;
+    run_rngs.reserve(static_cast<size_t>(count));
+    for (int64_t b = begin; b < begin + count; ++b) {
+      run_rngs.push_back(&lane_rngs[static_cast<size_t>(b)]);
+    }
+    begin += count;
+    EncodedBatch sub;
+    const EncodedBatch* run = cached != nullptr ? &cached->batch : batch;
+    if (cached == nullptr && num_runs > 1) {
+      sub = SubBatch(*batch, begin - count, count);
+      run = &sub;
+    }
+    // Uncached runs build run r's prefix right before run r's suffix, so ops
+    // and autodiff nodes keep the same interleaving across runs.
+    Tensor features =
+        cached != nullptr ? cached->features : PrefixStage(*run, run_rngs);
+    if (into != nullptr) {  // EncodePrefix: keep the run, skip the suffix
+      into->runs.push_back({run == &sub ? std::move(sub) : *run, features});
+      continue;
+    }
+    Tensor hidden3 = SuffixStage(*run, features, phi, run_rngs);
+    Tensor emissions2 = emission_->Forward(tensor::Reshape(
+        hidden3, Shape{count * run->max_len, 2 * config_.hidden_dim}));
+    consume(*run, tensor::Reshape(emissions2,
+                                  Shape{count, run->max_len, config_.max_tags}));
+  }
+}
+
+Tensor Backbone::RunsLoss(const EncodedBatch* batch, const CachedPrefix* prefix,
+                          const Tensor& phi,
+                          const std::vector<bool>& valid_tags) const {
+  const int64_t lanes = prefix != nullptr ? prefix->batch : batch->batch;
+  FEWNER_CHECK(lanes > 0, "BatchLoss on empty batch");
+  std::vector<Tensor> per_run;
+  ForEachRun(batch, prefix, phi, ForkLaneRngs(static_cast<size_t>(lanes)),
+             [&](const EncodedBatch& run, const Tensor& emissions) {
+               per_run.push_back(crf_->NegLogLikelihoodBatch(
+                   emissions, run.tags, run.lengths, &valid_tags));
+             });
+  // Runs are contiguous and ascending, so the concatenated lane NLLs sit in
+  // batch order; SumAllFloat folds them with the same left-associated scalar
+  // float adds as the per-sentence overload, so the totals agree bitwise,
+  // not just to rounding.
+  Tensor per_lane = per_run.size() == 1 ? per_run.front()
+                                        : tensor::Concat(per_run, 0);
+  return tensor::SumAllFloat(per_lane);
+}
+
+std::vector<std::vector<int64_t>> Backbone::RunsDecode(
+    const EncodedBatch* batch, const CachedPrefix* prefix, const Tensor& phi,
+    const std::vector<bool>& valid_tags) const {
+  const int64_t lanes = prefix != nullptr ? prefix->batch : batch->batch;
+  FEWNER_CHECK(lanes > 0, "DecodeBatch on empty batch");
+  std::vector<std::vector<int64_t>> paths;
+  paths.reserve(static_cast<size_t>(lanes));
+  ForEachRun(batch, prefix, phi, ForkLaneRngs(static_cast<size_t>(lanes)),
+             [&](const EncodedBatch& run, const Tensor& emissions) {
+               // Cut the decode out of a live autodiff graph; under EvalMode
+               // no graph was built, so the copy would only burn an
+               // allocation.
+               std::vector<std::vector<int64_t>> run_paths = crf_->ViterbiBatch(
+                   tensor::EvalMode::active() ? emissions : emissions.Detach(),
+                   run.lengths, &valid_tags);
+               for (auto& path : run_paths) paths.push_back(std::move(path));
+             });
+  return paths;
 }
 
 Tensor Backbone::Encode(const EncodedSentence& sentence, const Tensor& phi) const {
   FEWNER_CHECK(sentence.length() > 0, "Encode on empty sentence");
-  // B=1 wrapper over the batched pipeline, continuing the standalone member
-  // dropout stream.  A single-lane batch has no padding, so this is the
-  // sentence-at-a-time computation verbatim.
-  EncodedBatch single = PackBatch({sentence});
-  Tensor encoded = EncodeBatchImpl(single, phi, {&dropout_rng_});
+  // B=1 through both stages, continuing the standalone member dropout stream.
+  const EncodedBatch single = PackBatch({sentence});
+  const std::vector<util::Rng*> rngs = {&dropout_rng_};
+  Tensor encoded = SuffixStage(single, PrefixStage(single, rngs), phi, rngs);
   return tensor::Reshape(encoded,
                          Shape{sentence.length(), 2 * config_.hidden_dim});
-}
-
-Tensor Backbone::EncodeBatch(const EncodedBatch& batch, const Tensor& phi) const {
-  std::vector<util::Rng> owned = ForkLaneRngs(static_cast<size_t>(batch.batch));
-  std::vector<util::Rng*> lane_rngs;
-  lane_rngs.reserve(owned.size());
-  for (util::Rng& rng : owned) lane_rngs.push_back(&rng);
-  return EncodeBatchImpl(batch, phi, lane_rngs);
-}
-
-Tensor Backbone::Emissions(const EncodedSentence& sentence, const Tensor& phi) const {
-  FEWNER_CHECK(sentence.length() > 0, "Emissions on empty sentence");
-  EncodedBatch single = PackBatch({sentence});
-  Tensor emissions = EmissionsBatchImpl(single, phi, {&dropout_rng_});
-  return tensor::Reshape(emissions, Shape{sentence.length(), config_.max_tags});
-}
-
-Tensor Backbone::EmissionsBatch(const EncodedBatch& batch, const Tensor& phi) const {
-  std::vector<util::Rng> owned = ForkLaneRngs(static_cast<size_t>(batch.batch));
-  std::vector<util::Rng*> lane_rngs;
-  lane_rngs.reserve(owned.size());
-  for (util::Rng& rng : owned) lane_rngs.push_back(&rng);
-  return EmissionsBatchImpl(batch, phi, lane_rngs);
-}
-
-Tensor Backbone::SentenceLoss(const EncodedSentence& sentence, const Tensor& phi,
-                              const std::vector<bool>& valid_tags) const {
-  return crf_->NegLogLikelihood(Emissions(sentence, phi), sentence.tags, &valid_tags);
 }
 
 Tensor Backbone::BatchLoss(const std::vector<EncodedSentence>& sentences,
@@ -285,87 +346,30 @@ Tensor Backbone::BatchLoss(const std::vector<EncodedSentence>& sentences,
   std::vector<util::Rng> lane_rngs = ForkLaneRngs(sentences.size());
   Tensor total;
   for (size_t i = 0; i < sentences.size(); ++i) {
-    dropout_rng_ = lane_rngs[i];
-    Tensor loss = SentenceLoss(sentences[i], phi, valid_tags);
-    total = total.defined() ? tensor::Add(total, loss) : loss;
+    const EncodedSentence& sentence = sentences[i];
+    FEWNER_CHECK(sentence.length() > 0, "BatchLoss on empty sentence");
+    const EncodedBatch single = PackBatch({sentence});
+    ForEachRun(&single, nullptr, phi, {lane_rngs[i]},
+               [&](const EncodedBatch&, const Tensor& emissions) {
+                 Tensor loss = crf_->NegLogLikelihood(
+                     tensor::Reshape(emissions,
+                                     Shape{sentence.length(), config_.max_tags}),
+                     sentence.tags, &valid_tags);
+                 total = total.defined() ? tensor::Add(total, loss) : loss;
+               });
   }
   return total;
 }
 
 Tensor Backbone::BatchLoss(const EncodedBatch& batch, const Tensor& phi,
                            const std::vector<bool>& valid_tags) const {
-  FEWNER_CHECK(batch.batch > 0, "BatchLoss on empty batch");
-  std::vector<util::Rng> owned = ForkLaneRngs(static_cast<size_t>(batch.batch));
-  // Length-bucketed execution: each near-homogeneous lane run gets its own
-  // padded forward, so a ragged batch does not pay every lane at the longest
-  // lane's length.  Lane values are identical under any partition.
-  const std::vector<std::pair<int64_t, int64_t>> runs = LaneRuns(batch.lengths);
-  std::vector<Tensor> per_run;
-  per_run.reserve(runs.size());
-  for (const auto& [begin, count] : runs) {
-    EncodedBatch storage;
-    const EncodedBatch* sub = &batch;
-    if (runs.size() > 1) {
-      storage = SubBatch(batch, begin, count);
-      sub = &storage;
-    }
-    std::vector<util::Rng*> lane_rngs;
-    lane_rngs.reserve(static_cast<size_t>(count));
-    for (int64_t b = begin; b < begin + count; ++b) {
-      lane_rngs.push_back(&owned[static_cast<size_t>(b)]);
-    }
-    Tensor emissions = EmissionsBatchImpl(*sub, phi, lane_rngs);
-    per_run.push_back(crf_->NegLogLikelihoodBatch(emissions, sub->tags,
-                                                  sub->lengths, &valid_tags));
-  }
-  // Runs are contiguous and ascending, so the concatenated lane NLLs sit in
-  // batch order; SumAllFloat folds them with the same left-associated scalar
-  // float adds as the per-sentence overload, so the totals agree bitwise,
-  // not just to rounding.
-  Tensor per_lane = per_run.size() == 1 ? per_run.front()
-                                        : tensor::Concat(per_run, 0);
-  return tensor::SumAllFloat(per_lane);
-}
-
-std::vector<int64_t> Backbone::Decode(const EncodedSentence& sentence,
-                                      const Tensor& phi,
-                                      const std::vector<bool>& valid_tags) const {
-  Tensor emissions = Emissions(sentence, phi);
-  // The Detach exists to cut decode out of a live autodiff graph; under
-  // EvalMode no graph was built, so the copy would only burn an allocation.
-  if (!tensor::EvalMode::active()) emissions = emissions.Detach();
-  return crf_->Viterbi(emissions, &valid_tags);
+  return RunsLoss(&batch, nullptr, phi, valid_tags);
 }
 
 std::vector<std::vector<int64_t>> Backbone::DecodeBatch(
     const EncodedBatch& batch, const Tensor& phi,
     const std::vector<bool>& valid_tags) const {
-  FEWNER_CHECK(batch.batch > 0, "DecodeBatch on empty batch");
-  std::vector<util::Rng> owned = ForkLaneRngs(static_cast<size_t>(batch.batch));
-  const std::vector<std::pair<int64_t, int64_t>> runs = LaneRuns(batch.lengths);
-  std::vector<std::vector<int64_t>> paths;
-  paths.reserve(static_cast<size_t>(batch.batch));
-  for (const auto& [begin, count] : runs) {
-    EncodedBatch storage;
-    const EncodedBatch* sub = &batch;
-    if (runs.size() > 1) {
-      storage = SubBatch(batch, begin, count);
-      sub = &storage;
-    }
-    std::vector<util::Rng*> lane_rngs;
-    lane_rngs.reserve(static_cast<size_t>(count));
-    for (int64_t b = begin; b < begin + count; ++b) {
-      lane_rngs.push_back(&owned[static_cast<size_t>(b)]);
-    }
-    Tensor emissions = EmissionsBatchImpl(*sub, phi, lane_rngs);
-    // As in Decode: cut the decode out of a live autodiff graph; under
-    // EvalMode no graph was built, so the copy would only burn an allocation.
-    if (!tensor::EvalMode::active()) emissions = emissions.Detach();
-    std::vector<std::vector<int64_t>> run_paths =
-        crf_->ViterbiBatch(emissions, sub->lengths, &valid_tags);
-    for (auto& path : run_paths) paths.push_back(std::move(path));
-  }
-  return paths;
+  return RunsDecode(&batch, nullptr, phi, valid_tags);
 }
 
 bool Backbone::CanCachePrefix() const {
@@ -394,60 +398,6 @@ uint64_t Backbone::ParameterVersion() const {
   return h;
 }
 
-Tensor Backbone::EncodePrefixImpl(const EncodedBatch& batch) const {
-  const int64_t lanes = batch.batch;
-  const int64_t max_len = batch.max_len;
-  FEWNER_CHECK(lanes > 0 && max_len > 0, "EncodePrefix on empty batch");
-  // The head of EncodeBatchImpl with the LaneDropout calls elided — legal
-  // because EncodePrefix only runs in the regime where they are identities.
-  Tensor words = word_embedding_->Forward(batch.word_ids);  // [B*L, word_dim]
-  Tensor input = words;
-  if (config_.use_char_cnn) {
-    Tensor chars = char_cnn_->ForwardBatch(batch.char_ids);  // [B*L, char_feat]
-    input = tensor::Concat({words, chars}, 1);
-  }
-  Tensor input3 =
-      tensor::Reshape(input, Shape{lanes, max_len, input.shape().dim(1)});
-  if (config_.conditioning == Conditioning::kConcat) {
-    // Method A threads φ into the BiGRU input, so the recurrence is
-    // φ-dependent and the cacheable prefix stops at the token features.
-    return input3;
-  }
-  // kFilm/kNone: φ enters after the encoder (or never), so the full
-  // recurrent pass — the expensive part — is θ-only and cacheable.
-  return bigru_ ? bigru_->ForwardBatch(input3, batch.lengths)
-                : bilstm_->ForwardBatch(input3, batch.lengths);
-}
-
-Tensor Backbone::SuffixEmissions(const CachedPrefix::Run& run,
-                                 const Tensor& phi) const {
-  const int64_t lanes = run.batch.batch;
-  const int64_t max_len = run.batch.max_len;
-  Tensor hidden3;
-  if (config_.conditioning == Conditioning::kConcat) {
-    FEWNER_CHECK(phi.defined(), "kConcat conditioning requires a context vector");
-    Tensor phi_rows = tensor::BroadcastTo(
-        tensor::Reshape(phi, Shape{1, 1, config_.context_dim}),
-        Shape{lanes, max_len, config_.context_dim});
-    Tensor input3 = tensor::Concat({run.features, phi_rows}, 2);
-    hidden3 = bigru_ ? bigru_->ForwardBatch(input3, run.batch.lengths)
-                     : bilstm_->ForwardBatch(input3, run.batch.lengths);
-  } else if (config_.conditioning == Conditioning::kFilm) {
-    FEWNER_CHECK(phi.defined(), "kFilm conditioning requires a context vector");
-    Tensor hidden2 = film_->Forward(
-        tensor::Reshape(run.features,
-                        Shape{lanes * max_len, 2 * config_.hidden_dim}),
-        phi);
-    hidden3 =
-        tensor::Reshape(hidden2, Shape{lanes, max_len, 2 * config_.hidden_dim});
-  } else {
-    hidden3 = run.features;  // kNone: the suffix is emission + CRF only
-  }
-  Tensor emissions2 = emission_->Forward(tensor::Reshape(
-      hidden3, Shape{lanes * max_len, 2 * config_.hidden_dim}));
-  return tensor::Reshape(emissions2, Shape{lanes, max_len, config_.max_tags});
-}
-
 void Backbone::CheckPrefix(const CachedPrefix& prefix) const {
   FEWNER_CHECK(prefix.defined(), "use of an undefined CachedPrefix");
   FEWNER_CHECK(prefix.conditioning == config_.conditioning,
@@ -472,71 +422,43 @@ CachedPrefix Backbone::EncodePrefix(const EncodedBatch& batch) const {
   // Same LaneRuns partition as BatchLoss/DecodeBatch, so suffix results fold
   // back in the same lane order with the same padded shapes — bitwise parity
   // with the uncached paths needs nothing further.
-  const std::vector<std::pair<int64_t, int64_t>> runs = LaneRuns(batch.lengths);
-  prefix.runs.reserve(runs.size());
-  for (const auto& [begin, count] : runs) {
-    CachedPrefix::Run run;
-    run.batch = runs.size() > 1 ? SubBatch(batch, begin, count) : batch;
-    run.features = EncodePrefixImpl(run.batch);
-    prefix.runs.push_back(std::move(run));
-  }
+  // The lane streams are placeholders here: CanCachePrefix() makes every
+  // LaneDropout an identity.
+  ForEachRun(&batch, nullptr, Tensor(), ForkLaneRngs(static_cast<size_t>(batch.batch)),
+             nullptr, &prefix);
   return prefix;
 }
 
 Tensor Backbone::BatchLossFromPrefix(const CachedPrefix& prefix,
                                      const Tensor& phi,
                                      const std::vector<bool>& valid_tags) const {
-  CheckPrefix(prefix);
-  std::vector<Tensor> per_run;
-  per_run.reserve(prefix.runs.size());
-  for (const CachedPrefix::Run& run : prefix.runs) {
-    Tensor emissions = SuffixEmissions(run, phi);
-    per_run.push_back(crf_->NegLogLikelihoodBatch(emissions, run.batch.tags,
-                                                  run.batch.lengths, &valid_tags));
-  }
-  Tensor per_lane = per_run.size() == 1 ? per_run.front()
-                                        : tensor::Concat(per_run, 0);
-  return tensor::SumAllFloat(per_lane);
+  return RunsLoss(nullptr, &prefix, phi, valid_tags);
 }
 
 Tensor Backbone::EmissionsFromPrefix(const CachedPrefix& prefix,
                                      const Tensor& phi) const {
-  CheckPrefix(prefix);
   std::vector<Tensor> per_run;
   per_run.reserve(prefix.runs.size());
-  for (const CachedPrefix::Run& run : prefix.runs) {
-    Tensor em = SuffixEmissions(run, phi);
-    if (run.batch.max_len < prefix.max_len) {
-      // Re-pad to the whole-batch Lmax so the result matches EmissionsBatch's
-      // shape.  Padding rows are unspecified by that contract; zeros are as
-      // good as recomputed garbage and cheaper.
-      em = tensor::Concat(
-          {em, Tensor::Zeros(Shape{run.batch.batch,
-                                   prefix.max_len - run.batch.max_len,
-                                   config_.max_tags})},
-          1);
-    }
-    per_run.push_back(em);
-  }
+  ForEachRun(nullptr, &prefix, phi, ForkLaneRngs(static_cast<size_t>(prefix.batch)),
+             [&](const EncodedBatch& run, const Tensor& emissions) {
+               Tensor em = emissions;
+               if (run.max_len < prefix.max_len) {
+                 // Re-pad to the whole-batch Lmax; padding rows are zeros.
+                 em = tensor::Concat(
+                     {em, Tensor::Zeros(Shape{run.batch,
+                                              prefix.max_len - run.max_len,
+                                              config_.max_tags})},
+                     1);
+               }
+               per_run.push_back(em);
+             });
   return per_run.size() == 1 ? per_run.front() : tensor::Concat(per_run, 0);
 }
 
 std::vector<std::vector<int64_t>> Backbone::DecodeBatchFromPrefix(
     const CachedPrefix& prefix, const Tensor& phi,
     const std::vector<bool>& valid_tags) const {
-  CheckPrefix(prefix);
-  std::vector<std::vector<int64_t>> paths;
-  paths.reserve(static_cast<size_t>(prefix.batch));
-  for (const CachedPrefix::Run& run : prefix.runs) {
-    Tensor emissions = SuffixEmissions(run, phi);
-    // As in DecodeBatch: cut the decode out of a live autodiff graph; under
-    // EvalMode no graph was built, so the copy would only burn an allocation.
-    if (!tensor::EvalMode::active()) emissions = emissions.Detach();
-    std::vector<std::vector<int64_t>> run_paths =
-        crf_->ViterbiBatch(emissions, run.batch.lengths, &valid_tags);
-    for (auto& path : run_paths) paths.push_back(std::move(path));
-  }
-  return paths;
+  return RunsDecode(nullptr, &prefix, phi, valid_tags);
 }
 
 }  // namespace fewner::models

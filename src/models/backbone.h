@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -68,8 +69,10 @@ struct BackboneConfig {
 /// the [.., word+char] inputs the BiGRU has not yet seen), and after the
 /// BiGRU for kNone (the suffix is emission+CRF only).
 ///
-/// Runs mirror the LaneRuns partition BatchLoss/DecodeBatch bucket with, so
-/// suffix results fold back bitwise-identically to the uncached paths.
+/// Each run holds the prefix stage's output for one run of the LaneRuns
+/// partition BatchLoss/DecodeBatch bucket with; the cached entry points feed
+/// it to the same run loop, so their results are bitwise-identical to the
+/// uncached paths.
 ///
 /// A prefix is pinned to the θ that produced it via `param_version`; every
 /// consumer re-derives the backbone's current version and aborts on mismatch,
@@ -94,37 +97,18 @@ class Backbone : public nn::Module {
   Backbone(const BackboneConfig& config, util::Rng* rng);
 
   /// Context-encoded token features [L, 2H]; φ must be defined iff the
-  /// conditioning mode uses it (pass ZeroContext() when in doubt).  A B=1
-  /// wrapper over the batched pipeline, drawing dropout from the standalone
-  /// member stream.
+  /// conditioning mode uses it (pass ZeroContext() when in doubt).  The prefix
+  /// stage then the suffix stage on a B=1 batch, drawing dropout from the
+  /// standalone member stream.
   tensor::Tensor Encode(const EncodedSentence& sentence,
                         const tensor::Tensor& phi) const;
 
-  /// Batched context-encoded features [B, Lmax, 2H] with FiLM/concat
-  /// conditioning broadcast over all lanes.  Lane b's first lengths[b] rows
-  /// are bitwise-equal to Encode on that sentence alone (given matching
-  /// dropout streams); padding rows are unspecified and must be masked by
-  /// consumers.
-  tensor::Tensor EncodeBatch(const EncodedBatch& batch,
-                             const tensor::Tensor& phi) const;
-
-  /// CRF emission scores [L, max_tags].
-  tensor::Tensor Emissions(const EncodedSentence& sentence,
-                           const tensor::Tensor& phi) const;
-
-  /// Batched CRF emission scores [B, Lmax, max_tags].
-  tensor::Tensor EmissionsBatch(const EncodedBatch& batch,
-                                const tensor::Tensor& phi) const;
-
-  /// CRF negative log-likelihood of the sentence's gold tags.
-  tensor::Tensor SentenceLoss(const EncodedSentence& sentence,
-                              const tensor::Tensor& phi,
-                              const std::vector<bool>& valid_tags) const;
-
   /// Summed NLL over a set of sentences (the task loss L_T of Eq. 5/6;
-  /// the paper defines L = -Σ p(y|h)).  Sentence i draws dropout from the
-  /// per-lane stream (episode, call, lane i) — the same stream the batched
-  /// overload gives lane i — so the two overloads are bitwise-interchangeable.
+  /// the paper defines L = -Σ p(y|h)), one B=1 pass and one single-sentence
+  /// CRF NLL per sentence — the per-lane reference the batched overload is
+  /// pinned against.  Sentence i draws dropout from the per-lane stream
+  /// (episode, call, lane i) — the same stream the batched overload gives
+  /// lane i — so the two overloads are bitwise-interchangeable.
   tensor::Tensor BatchLoss(const std::vector<EncodedSentence>& sentences,
                            const tensor::Tensor& phi,
                            const std::vector<bool>& valid_tags) const;
@@ -136,13 +120,8 @@ class Backbone : public nn::Module {
   tensor::Tensor BatchLoss(const EncodedBatch& batch, const tensor::Tensor& phi,
                            const std::vector<bool>& valid_tags) const;
 
-  /// Viterbi decode of one sentence.
-  std::vector<int64_t> Decode(const EncodedSentence& sentence,
-                              const tensor::Tensor& phi,
-                              const std::vector<bool>& valid_tags) const;
-
   /// Batched Viterbi decode: one batched forward, then per-lane decoding of
-  /// each lane's real prefix.  The query-serving fast path under EvalMode.
+  /// each lane's real prefix.
   std::vector<std::vector<int64_t>> DecodeBatch(
       const EncodedBatch& batch, const tensor::Tensor& phi,
       const std::vector<bool>& valid_tags) const;
@@ -160,7 +139,7 @@ class Backbone : public nn::Module {
   /// swaps in a new node id.  Cheap enough to recompute on every cached call.
   uint64_t ParameterVersion() const;
 
-  /// Runs the θ-only head once over `batch`, bucketed exactly like BatchLoss.
+  /// Runs the prefix stage once over `batch`, bucketed exactly like BatchLoss.
   /// Aborts unless CanCachePrefix() — a cached prefix must be dropout-free.
   /// Graph-mode callers get a differentiable shared subgraph (the
   /// create_graph meta-training regime); EvalMode callers get arena-backed
@@ -174,9 +153,9 @@ class Backbone : public nn::Module {
                                      const tensor::Tensor& phi,
                                      const std::vector<bool>& valid_tags) const;
 
-  /// Batched emission scores [B, Lmax, max_tags] from a cached prefix.
-  /// Real rows match EmissionsBatch bitwise; padding rows (unspecified by the
-  /// EmissionsBatch contract) are zero here.
+  /// Batched emission scores [B, Lmax, max_tags] from a cached prefix.  Lane
+  /// b's first lengths[b] rows are bitwise-equal to the emissions of that
+  /// sentence alone; padding rows are zero.
   tensor::Tensor EmissionsFromPrefix(const CachedPrefix& prefix,
                                      const tensor::Tensor& phi) const;
 
@@ -210,26 +189,47 @@ class Backbone : public nn::Module {
   void set_dropout_base(const util::Rng& base) { dropout_base_ = base; }
 
  private:
-  /// The shared batched pipeline.  `lane_rngs[b]` supplies lane b's dropout
-  /// draws (input mask first, then hidden mask — the per-sentence order).
-  tensor::Tensor EncodeBatchImpl(const EncodedBatch& batch,
-                                 const tensor::Tensor& phi,
-                                 const std::vector<util::Rng*>& lane_rngs) const;
+  /// Prefix stage over one run: embeddings + CharCNN + input lane dropout,
+  /// then the encoder RNN for kFilm/kNone.  θ-only; for kConcat it stops at
+  /// the token features, since φ joins the RNN input.
+  tensor::Tensor PrefixStage(const EncodedBatch& run,
+                             const std::vector<util::Rng*>& lane_rngs) const;
 
-  tensor::Tensor EmissionsBatchImpl(const EncodedBatch& batch,
-                                    const tensor::Tensor& phi,
-                                    const std::vector<util::Rng*>& lane_rngs) const;
+  /// Suffix stage over one run's prefix features: kConcat's φ-concat + RNN,
+  /// then FiLM, then hidden lane dropout.  Returns [count, run_max_len, 2H].
+  tensor::Tensor SuffixStage(const EncodedBatch& run,
+                             const tensor::Tensor& features,
+                             const tensor::Tensor& phi,
+                             const std::vector<util::Rng*>& lane_rngs) const;
 
-  /// θ-only head of EncodeBatchImpl for one (sub-)batch: embeddings + CharCNN
-  /// [+ BiGRU for kFilm/kNone].  Only callable in the dropout-free regime, so
-  /// the elided LaneDropout calls are exactly the identities EncodeBatchImpl
-  /// would have applied.
-  tensor::Tensor EncodePrefixImpl(const EncodedBatch& batch) const;
+  /// The encoder RNN (BiGRU or BiLSTM) over [count, len, input].
+  tensor::Tensor Recur(const tensor::Tensor& x,
+                       const std::vector<int64_t>& lengths) const;
 
-  /// φ-dependent tail over one cached run: conditioning + emission linear.
-  /// Returns [count, run_max_len, max_tags].
-  tensor::Tensor SuffixEmissions(const CachedPrefix::Run& run,
-                                 const tensor::Tensor& phi) const;
+  /// Receives one run's lanes and emissions [count, run_max_len, max_tags].
+  using RunConsumer =
+      std::function<void(const EncodedBatch& run, const tensor::Tensor& emissions)>;
+
+  /// The one LaneRuns loop every entry point shares: for each contiguous lane
+  /// run, in ascending lane order, the suffix stage then the emission linear,
+  /// handed to `consume`.  Run features come from `prefix` when it is
+  /// non-null (cached: CheckPrefix'd, the prefix stage is skipped), otherwise
+  /// from the prefix stage over `batch`'s LaneRuns partition, run by run.
+  /// `lane_rngs[b]` supplies lane b's dropout draws (ForkLaneRngs).  With
+  /// `into` set (EncodePrefix), each run's lanes and prefix features are
+  /// appended to it instead and the suffix is not run.
+  void ForEachRun(const EncodedBatch* batch, const CachedPrefix* prefix,
+                  const tensor::Tensor& phi, std::vector<util::Rng> lane_rngs,
+                  const RunConsumer& consume, CachedPrefix* into = nullptr) const;
+
+  /// Task loss and Viterbi decode over ForEachRun, shared by the uncached
+  /// and cached entry points.
+  tensor::Tensor RunsLoss(const EncodedBatch* batch, const CachedPrefix* prefix,
+                          const tensor::Tensor& phi,
+                          const std::vector<bool>& valid_tags) const;
+  std::vector<std::vector<int64_t>> RunsDecode(
+      const EncodedBatch* batch, const CachedPrefix* prefix,
+      const tensor::Tensor& phi, const std::vector<bool>& valid_tags) const;
 
   /// Aborts when `prefix` is stale (θ changed since EncodePrefix), was built
   /// for a different conditioning mode, or the backbone left the cacheable

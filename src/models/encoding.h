@@ -30,7 +30,7 @@ struct EncodedEpisode {
 };
 
 /// A padded, length-masked batch of sentences in `[B, Lmax]` layout — the unit
-/// of work for the batch-first pipeline (Backbone::EncodeBatch and friends).
+/// of work for the batch-first pipeline (Backbone::BatchLoss and friends).
 /// Lane b occupies flat positions [b*max_len, b*max_len + lengths[b]); the
 /// tail of each lane is padding (word id 0, empty char sequence, tag 0) that
 /// every consumer masks by `lengths`.
@@ -47,7 +47,7 @@ struct EncodedBatch {
 
 /// Packs sentences into a padded batch, lane i = sentences[i].  Pure layout —
 /// lane order is the caller's sentence order, so a per-lane consumer sees
-/// exactly the same token/tag streams as the sentence-at-a-time path.
+/// exactly the same token/tag streams as a B=1 batch of that sentence.
 EncodedBatch PackBatch(const std::vector<EncodedSentence>& sentences);
 
 /// Encodes sentences/episodes against fixed vocabularies.  Word lookup is

@@ -109,6 +109,17 @@ models::EncodedSentence RandomSentence(util::Rng* rng, int64_t length,
   return s;
 }
 
+/// Emissions [L, max_tags] of one sentence alone: a B=1 batch through the
+/// prefix and suffix stages.
+Tensor SentenceEmissions(const models::Backbone& net,
+                         const models::EncodedSentence& sentence,
+                         const Tensor& phi) {
+  return tensor::Reshape(
+      net.EmissionsFromPrefix(net.EncodePrefix(models::PackBatch({sentence})),
+                              phi),
+      Shape{sentence.length(), net.config().max_tags});
+}
+
 models::BackboneConfig SmallConfig(models::EncoderKind encoder,
                                    models::Conditioning conditioning) {
   models::BackboneConfig config;
@@ -324,26 +335,30 @@ TEST_F(BatchParityTest, EmissionsNllAndViterbiBitwiseEqualOn100RaggedEpisodes) {
     Tensor phi = net.ZeroContext();
 
     // Emissions: lane b's real prefix must match the sentence alone, 0 ULP.
-    Tensor batched = net.EmissionsBatch(batch, phi);
+    Tensor batched = net.EmissionsFromPrefix(net.EncodePrefix(batch), phi);
+    std::vector<Tensor> alone_emissions;
     for (size_t b = 0; b < sentences.size(); ++b) {
       Tensor lane_rows = tensor::Reshape(
           tensor::Slice(batched, 0, static_cast<int64_t>(b), 1),
           Shape{batch.max_len, net.config().max_tags});
       Tensor prefix =
           tensor::Slice(lane_rows, 0, 0, sentences[b].length()).Detach();
-      Tensor alone = net.Emissions(sentences[b], phi).Detach();
+      Tensor alone = SentenceEmissions(net, sentences[b], phi).Detach();
+      alone_emissions.push_back(alone);
       ExpectBitwise(alone, prefix,
                     "emissions lane " + std::to_string(b) + " episode " +
                         std::to_string(id));
     }
 
-    // CRF NLL: batched lane values against the per-sentence loss, and the
-    // lane-folded totals of the two BatchLoss overloads.
+    // CRF NLL: batched lane values against the single-sentence CRF NLL, and
+    // the lane-folded totals of the two BatchLoss overloads.
     Tensor per_lane = net.crf()->NegLogLikelihoodBatch(
         batched, batch.tags, batch.lengths, &valid_tags);
     for (size_t b = 0; b < sentences.size(); ++b) {
-      const float alone =
-          net.SentenceLoss(sentences[b], phi, valid_tags).item();
+      const float alone = net.crf()
+                              ->NegLogLikelihood(alone_emissions[b],
+                                                 sentences[b].tags, &valid_tags)
+                              .item();
       const float lane = per_lane.at(static_cast<int64_t>(b));
       EXPECT_EQ(std::memcmp(&alone, &lane, sizeof(float)), 0)
           << "NLL lane " << b << " episode " << id;
@@ -353,11 +368,13 @@ TEST_F(BatchParityTest, EmissionsNllAndViterbiBitwiseEqualOn100RaggedEpisodes) {
     EXPECT_EQ(std::memcmp(&serial, &fused, sizeof(float)), 0)
         << "task loss, episode " << id;
 
-    // Viterbi: identical tag sequences, lane by lane.
+    // Viterbi: identical tag sequences to the single-sentence decode, lane by
+    // lane.
     const auto batched_tags = net.DecodeBatch(batch, phi, valid_tags);
     ASSERT_EQ(batched_tags.size(), sentences.size());
     for (size_t b = 0; b < sentences.size(); ++b) {
-      EXPECT_EQ(batched_tags[b], net.Decode(sentences[b], phi, valid_tags))
+      EXPECT_EQ(batched_tags[b],
+                net.crf()->Viterbi(alone_emissions[b], &valid_tags))
           << "viterbi lane " << b << " episode " << id;
     }
   }
@@ -527,7 +544,7 @@ TEST_F(BatchParityTest, WholeModelBitwiseInvariantAcrossIntraOpBudgets) {
     tensor::ParallelismBudget budget(threads);
     Run out;
     Tensor phi0 = net.ZeroContext();
-    out.emissions = net.EmissionsBatch(batch, phi0).Detach();
+    out.emissions = net.EmissionsFromPrefix(net.EncodePrefix(batch), phi0).Detach();
     // One differentiated adaptation step before the outer loss, so the
     // meta-gradient routes through second-order NT/TN backward GEMMs too.
     Tensor phi = tensor::Sub(

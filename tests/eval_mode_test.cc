@@ -327,8 +327,11 @@ TEST(EvalModeModelTest, AdaptedTaggerMatchesGraphModeOn100Episodes) {
                                episode.valid_tags, /*inner_steps=*/2,
                                /*inner_lr=*/0.1f);
     for (const auto& sentence : episode.query) {
-      std::vector<int64_t> graph_tags = fewner.backbone()->Decode(
-          sentence, tagger.phi(), episode.valid_tags);
+      std::vector<int64_t> graph_tags =
+          fewner.backbone()
+              ->DecodeBatch(models::PackBatch({sentence}), tagger.phi(),
+                            episode.valid_tags)
+              .front();
       std::vector<int64_t> eval_tags = tagger.Tag(sentence);
       ASSERT_EQ(eval_tags, graph_tags) << "episode " << id;
     }
@@ -373,12 +376,17 @@ TEST(EvalModeModelTest, EmissionsBitwiseIdenticalAcrossModes) {
                                    /*create_graph=*/false)
                    .Detach();
 
+  const models::Backbone& net = *fewner.backbone();
+  const auto emissions = [&](const models::EncodedSentence& sentence) {
+    return net.EmissionsFromPrefix(
+        net.EncodePrefix(models::PackBatch({sentence})), phi);
+  };
   for (const auto& sentence : episode.query) {
-    Tensor graph_emissions = fewner.backbone()->Emissions(sentence, phi);
+    Tensor graph_emissions = emissions(sentence);
     Tensor eval_emissions;
     {
       EvalMode eval;
-      eval_emissions = fewner.backbone()->Emissions(sentence, phi);
+      eval_emissions = emissions(sentence);
     }
     ExpectBitwise(graph_emissions, eval_emissions, "emissions");
   }

@@ -144,12 +144,17 @@ TEST(GemmKernelTest, TnColumnBlockWithLeadingDimensionMatchesFullMatrix) {
 TEST(GemmKernelTest, ShardedDispatchBitwiseEqualAcrossBudgets) {
   // Shapes chosen to clear the flop threshold (m·k·n >= 2^18) with awkward
   // row counts, so the slab partition has remainders; plus one below the
-  // threshold to cover the serial gate.  Budgets beyond the hardware simply
-  // queue — the result may not get faster, but it must not change.
+  // threshold to cover the serial gate; plus the paper-profile training-step
+  // shapes (hidden 128, 5-way, B·L = 160 padded tokens: encoder input
+  // projection and its NT/TN backward, emission head and its weight grad).
+  // Budgets beyond the hardware simply queue — the result may not get
+  // faster, but it must not change.
   struct Case {
     int64_t m, k, n;
   };
-  const Case cases[] = {{97, 64, 48}, {128, 80, 33}, {259, 37, 40}, {16, 8, 8}};
+  const Case cases[] = {{97, 64, 48},   {128, 80, 33},  {259, 37, 40},
+                        {16, 8, 8},     {160, 124, 384}, {160, 384, 124},
+                        {124, 160, 384}, {160, 256, 128}, {256, 160, 128}};
   util::Rng rng(99);
   for (const Case& c : cases) {
     const std::vector<float> a = RandomVec(c.m * c.k, &rng);

@@ -64,6 +64,15 @@ TEST_F(EncodingTest, UnknownWordsMapToUnk) {
   EXPECT_NE(encoded.char_ids[0][4], text::kUnkId);
 }
 
+/// Emissions [L, max_tags] of one sentence: a B=1 cached prefix, then the
+/// φ suffix.
+Tensor SentenceEmissions(const Backbone& net, const EncodedSentence& sentence,
+                         const Tensor& phi) {
+  return tensor::Reshape(
+      net.EmissionsFromPrefix(net.EncodePrefix(PackBatch({sentence})), phi),
+      Shape{sentence.length(), net.config().max_tags});
+}
+
 class BackboneTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -96,7 +105,7 @@ TEST_F(BackboneTest, EmissionShapes) {
   util::Rng rng(1);
   Backbone backbone(config_, &rng);
   Tensor phi = backbone.ZeroContext();
-  Tensor emissions = backbone.Emissions(encoded_, phi);
+  Tensor emissions = SentenceEmissions(backbone, encoded_, phi);
   EXPECT_EQ(emissions.shape(), (Shape{5, config_.max_tags}));
 }
 
@@ -111,7 +120,7 @@ TEST_F(BackboneTest, ConditioningModesAffectInputDim) {
   config_.context_dim = 0;
   Backbone none(config_, &rng);
   EXPECT_FALSE(none.ZeroContext().defined());
-  Tensor emissions = none.Emissions(encoded_, Tensor());
+  Tensor emissions = SentenceEmissions(none, encoded_, Tensor());
   EXPECT_EQ(emissions.shape(), (Shape{5, config_.max_tags}));
 }
 
@@ -119,8 +128,8 @@ TEST_F(BackboneTest, ContextChangesEmissionsUnderFilm) {
   util::Rng rng(1);
   Backbone backbone(config_, &rng);
   backbone.SetTraining(false);
-  Tensor e0 = backbone.Emissions(encoded_, Tensor::Zeros(Shape{6}, true));
-  Tensor e1 = backbone.Emissions(encoded_, Tensor::Ones(Shape{6}, true));
+  Tensor e0 = SentenceEmissions(backbone, encoded_, Tensor::Zeros(Shape{6}, true));
+  Tensor e1 = SentenceEmissions(backbone, encoded_, Tensor::Ones(Shape{6}, true));
   double delta = 0;
   for (int64_t i = 0; i < e0.numel(); ++i) delta += std::abs(e0.at(i) - e1.at(i));
   EXPECT_GT(delta, 1e-4);
@@ -130,7 +139,7 @@ TEST_F(BackboneTest, GradFlowsToContextAndTheta) {
   util::Rng rng(1);
   Backbone backbone(config_, &rng);
   Tensor phi = backbone.ZeroContext();
-  Tensor loss = backbone.SentenceLoss(encoded_, phi, valid_);
+  Tensor loss = backbone.BatchLoss(PackBatch({encoded_}), phi, valid_);
   EXPECT_GE(loss.item(), -1e-3);
   auto phi_grads = tensor::autodiff::Grad(loss, {phi});
   double norm = 0;
@@ -146,7 +155,7 @@ TEST_F(BackboneTest, NoCharCnnAblation) {
   config_.use_char_cnn = false;
   Backbone backbone(config_, &rng);
   EXPECT_EQ(backbone.token_input_dim(), config_.word_dim);
-  Tensor emissions = backbone.Emissions(encoded_, backbone.ZeroContext());
+  Tensor emissions = SentenceEmissions(backbone, encoded_, backbone.ZeroContext());
   EXPECT_EQ(emissions.shape(), (Shape{5, config_.max_tags}));
 }
 
@@ -155,7 +164,9 @@ TEST_F(BackboneTest, DecodeRespectsValidMask) {
   Backbone backbone(config_, &rng);
   backbone.SetTraining(false);
   std::vector<bool> narrow = text::ValidTagMask(2, config_.max_tags);
-  auto tags = backbone.Decode(encoded_, backbone.ZeroContext(), narrow);
+  auto tags =
+      backbone.DecodeBatch(PackBatch({encoded_}), backbone.ZeroContext(), narrow)
+          .front();
   EXPECT_EQ(tags.size(), 5u);
   for (int64_t tag : tags) EXPECT_LT(tag, text::NumTags(2));
 }
@@ -165,15 +176,15 @@ TEST_F(BackboneTest, TrainingReducesLossOnFixedSentence) {
   Backbone backbone(config_, &rng);
   backbone.SetTraining(false);  // keep dropout off for determinism
   Tensor phi = backbone.ZeroContext();
-  const float initial = backbone.SentenceLoss(encoded_, phi, valid_).item();
+  const float initial = backbone.BatchLoss(PackBatch({encoded_}), phi, valid_).item();
   nn::Adam adam(backbone.Parameters(), 0.02f);
   for (int step = 0; step < 25; ++step) {
     Tensor loss =
-        backbone.SentenceLoss(encoded_, backbone.ZeroContext(), valid_);
+        backbone.BatchLoss(PackBatch({encoded_}), backbone.ZeroContext(), valid_);
     adam.Step(tensor::autodiff::Grad(loss, nn::ParameterTensors(&backbone)));
   }
   const float final_loss =
-      backbone.SentenceLoss(encoded_, backbone.ZeroContext(), valid_).item();
+      backbone.BatchLoss(PackBatch({encoded_}), backbone.ZeroContext(), valid_).item();
   EXPECT_LT(final_loss, initial * 0.5f);
 }
 

@@ -23,6 +23,16 @@ using tensor::Shape;
 using tensor::Tensor;
 using tensor::autodiff::Grad;
 
+/// One sentence [L, input] through a BiGRU/BiLSTM's batched time loop at
+/// B=1, as [L, 2H].
+template <typename Rnn>
+Tensor ForwardOne(const Rnn& rnn, const Tensor& x) {
+  const int64_t length = x.shape().dim(0);
+  Tensor out = rnn.ForwardBatch(
+      tensor::Reshape(x, Shape{1, length, x.shape().dim(1)}), {length});
+  return tensor::Reshape(out, Shape{length, rnn.output_dim()});
+}
+
 TEST(ModuleTest, RegistersParametersHierarchically) {
   util::Rng rng(1);
   Linear inner(3, 2, &rng);
@@ -170,7 +180,7 @@ TEST(CharCnnTest, ShapesAndShortWordPadding) {
   CharCnn cnn(config, &rng);
   EXPECT_EQ(cnn.output_dim(), 8);
   // Words shorter than the widest filter must still encode (padding).
-  Tensor out = cnn.Forward({{5}, {3, 4, 5, 6, 7}, {2, 2}});
+  Tensor out = cnn.ForwardBatch({{5}, {3, 4, 5, 6, 7}, {2, 2}});
   EXPECT_EQ(out.shape(), (Shape{3, 8}));
 }
 
@@ -184,7 +194,7 @@ TEST(CharCnnTest, SuffixSensitivity) {
   config.filters_per_width = 8;
   CharCnn cnn(config, &rng);
   auto encode = [&](std::vector<int64_t> word) {
-    return cnn.Forward({std::move(word)});
+    return cnn.ForwardBatch({std::move(word)});
   };
   Tensor a = encode({4, 5, 10, 11, 12});   // stem A + suffix
   Tensor b = encode({7, 8, 10, 11, 12});   // stem B + same suffix
@@ -218,14 +228,14 @@ TEST(BiGruTest, OutputShapeAndDirectionality) {
   util::Rng rng(15);
   BiGru gru(3, 4, &rng);
   Tensor x = Tensor::Randn(Shape{6, 3}, &rng);
-  Tensor out = gru.Forward(x);
+  Tensor out = ForwardOne(gru, x);
   EXPECT_EQ(out.shape(), (Shape{6, 8}));
 
   // Changing the LAST token must change the backward features of the FIRST
   // token (information flows right-to-left) but not its forward features.
   std::vector<float> perturbed = x.data();
   perturbed[15] += 1.0f;  // last row, first feature
-  Tensor out2 = gru.Forward(Tensor::FromData(Shape{6, 3}, perturbed));
+  Tensor out2 = ForwardOne(gru, Tensor::FromData(Shape{6, 3}, perturbed));
   for (int64_t j = 0; j < 4; ++j) {
     EXPECT_FLOAT_EQ(out.at(j), out2.at(j)) << "forward feature " << j;
   }
@@ -238,18 +248,18 @@ TEST(BiGruTest, GradCheckThroughTime) {
   util::Rng rng(17);
   BiGru gru(2, 2, &rng);
   Tensor x = Tensor::Randn(Shape{3, 2}, &rng, 0.5f, /*requires_grad=*/true);
-  Tensor loss = tensor::SumAll(tensor::Square(gru.Forward(x)));
+  Tensor loss = tensor::SumAll(tensor::Square(ForwardOne(gru, x)));
   auto g = Grad(loss, {x});
   const float eps = 1e-2f;
   for (int64_t i = 0; i < x.numel(); ++i) {
     std::vector<float> plus = x.data(), minus = x.data();
     plus[static_cast<size_t>(i)] += eps;
     minus[static_cast<size_t>(i)] -= eps;
-    const float lp = tensor::SumAll(tensor::Square(gru.Forward(
-                                        Tensor::FromData(x.shape(), plus))))
+    const float lp = tensor::SumAll(tensor::Square(ForwardOne(
+                                        gru, Tensor::FromData(x.shape(), plus))))
                          .item();
-    const float lm = tensor::SumAll(tensor::Square(gru.Forward(
-                                        Tensor::FromData(x.shape(), minus))))
+    const float lm = tensor::SumAll(tensor::Square(ForwardOne(
+                                        gru, Tensor::FromData(x.shape(), minus))))
                          .item();
     EXPECT_NEAR(g[0].at(i), (lp - lm) / (2 * eps), 5e-2) << "element " << i;
   }

@@ -270,22 +270,26 @@ TEST_F(PrefixCacheTest, SplitPointsAndEmissionsPerConditioningMode) {
       EXPECT_EQ(run.features.shape().dim(2), expect_dim) << c.name;
     }
 
-    // Emission parity: every lane's real rows match EmissionsBatch bitwise
-    // (padding rows are unspecified there, zero here).
+    // Emission parity: every lane's real rows of the multi-run cached
+    // emissions match that sentence's B=1 emissions bitwise (padding rows are
+    // zero).
     Tensor phi = net.ZeroContext();
-    Tensor plain = net.EmissionsBatch(batch, phi).Detach();
     Tensor cached = net.EmissionsFromPrefix(prefix, phi).Detach();
-    ASSERT_EQ(plain.shape(), cached.shape()) << c.name;
+    ASSERT_EQ(cached.shape(),
+              (Shape{batch.batch, batch.max_len, config.max_tags}))
+        << c.name;
     for (size_t b = 0; b < sentences.size(); ++b) {
-      Tensor plain_lane = tensor::Reshape(
-          tensor::Slice(plain, 0, static_cast<int64_t>(b), 1),
-          Shape{batch.max_len, config.max_tags});
+      const int64_t length = sentences[b].length();
+      Tensor alone = tensor::Reshape(
+          net.EmissionsFromPrefix(
+              net.EncodePrefix(models::PackBatch({sentences[b]})), phi),
+          Shape{length, config.max_tags});
       Tensor cached_lane = tensor::Reshape(
           tensor::Slice(cached, 0, static_cast<int64_t>(b), 1),
           Shape{batch.max_len, config.max_tags});
       ExpectBitwise(
-          tensor::Slice(plain_lane, 0, 0, sentences[b].length()).Detach(),
-          tensor::Slice(cached_lane, 0, 0, sentences[b].length()).Detach(),
+          alone.Detach(),
+          tensor::Slice(cached_lane, 0, 0, length).Detach(),
           std::string(c.name) + " emissions lane " + std::to_string(b));
     }
 

@@ -7,7 +7,9 @@
 
 #include <cmath>
 #include <map>
+#include <ostream>
 #include <set>
+#include <vector>
 
 #include "crf/linear_chain_crf.h"
 #include "data/episode_sampler.h"
@@ -29,6 +31,19 @@ struct BroadcastCase {
   std::vector<int64_t> a;
   std::vector<int64_t> b;
 };
+
+// Gives each case a stable, readable name ("a=2x3x4 b=1x4"); without it gtest
+// prints the raw struct bytes, which embed heap addresses and change per run.
+void PrintTo(const BroadcastCase& c, std::ostream* os) {
+  auto dims = [os](const std::vector<int64_t>& v) {
+    if (v.empty()) *os << "scalar";
+    for (size_t i = 0; i < v.size(); ++i) *os << (i ? "x" : "") << v[i];
+  };
+  *os << "a=";
+  dims(c.a);
+  *os << " b=";
+  dims(c.b);
+}
 
 class BroadcastProperty : public ::testing::TestWithParam<BroadcastCase> {};
 

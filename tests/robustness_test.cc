@@ -9,6 +9,7 @@
 #include "crf/linear_chain_crf.h"
 #include "data/episode_sampler.h"
 #include "data/synthetic.h"
+#include "meta/adapted_tagger.h"
 #include "meta/grad_accumulator.h"
 #include "models/backbone.h"
 #include "nn/optim.h"
@@ -192,14 +193,11 @@ TEST(SamplerEdgeTest, NWayEqualsAvailableTypes) {
 
 // ---------------------------------------------------------------- backbone
 
-TEST(BackboneEdgeTest, SingleTokenSentence) {
-  text::Vocab words, chars;
-  words.Add("hi");
-  chars.Add("h");
-  chars.Add("i");
+/// A tiny backbone over the vocabulary {"hi"} / {'h', 'i'}, dropout off.
+models::BackboneConfig TinyConfig() {
   models::BackboneConfig config;
-  config.word_vocab_size = words.size();
-  config.char_vocab_size = chars.size();
+  config.word_vocab_size = 3;
+  config.char_vocab_size = 4;
   config.word_dim = 6;
   config.char_dim = 4;
   config.filters_per_width = 2;
@@ -207,19 +205,55 @@ TEST(BackboneEdgeTest, SingleTokenSentence) {
   config.max_tags = 3;
   config.context_dim = 4;
   config.dropout = 0.0f;
+  return config;
+}
+
+models::EncodedSentence HiSentence(int64_t length) {
+  models::EncodedSentence sentence;
+  for (int64_t t = 0; t < length; ++t) {
+    sentence.word_ids.push_back(2);
+    sentence.char_ids.push_back({2, 3});
+    sentence.tags.push_back(t == 0 ? text::BeginTag(0) : text::kOutsideTag);
+  }
+  return sentence;
+}
+
+TEST(BackboneEdgeTest, SingleTokenSentence) {
   util::Rng rng(5);
-  models::Backbone backbone(config, &rng);
+  models::Backbone backbone(TinyConfig(), &rng);
   backbone.SetTraining(false);
 
-  models::EncodedSentence sentence;
-  sentence.word_ids = {2};
-  sentence.char_ids = {{2, 3}};
-  sentence.tags = {text::BeginTag(0)};
+  const models::EncodedBatch single = models::PackBatch({HiSentence(1)});
   auto valid = text::ValidTagMask(1, 3);
-  Tensor loss = backbone.SentenceLoss(sentence, backbone.ZeroContext(), valid);
+  Tensor loss = backbone.BatchLoss(single, backbone.ZeroContext(), valid);
   EXPECT_TRUE(std::isfinite(loss.item()));
-  auto decoded = backbone.Decode(sentence, backbone.ZeroContext(), valid);
-  EXPECT_EQ(decoded.size(), 1u);
+  auto decoded = backbone.DecodeBatch(single, backbone.ZeroContext(), valid);
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded.front().size(), 1u);
+}
+
+// ----------------------------------------------------------------- serving
+
+TEST(ServingEdgeTest, EmptySentenceGetsEmptyTagsAndLeavesOtherLanesAlone) {
+  util::Rng rng(6);
+  models::Backbone backbone(TinyConfig(), &rng);
+  const models::EncodedSentence a = HiSentence(3);
+  const models::EncodedSentence b = HiSentence(1);
+  const models::EncodedSentence empty;
+  meta::AdaptedTagger tagger(&backbone, {a, b}, text::ValidTagMask(1, 3),
+                             /*inner_steps=*/2, /*inner_lr=*/0.1f);
+
+  const std::vector<std::vector<int64_t>> plain = tagger.TagAll({a, b});
+  const std::vector<std::vector<int64_t>> mixed = tagger.TagAll({a, empty, b});
+  ASSERT_EQ(mixed.size(), 3u);
+  EXPECT_EQ(mixed[0], plain[0]);
+  EXPECT_TRUE(mixed[1].empty());
+  EXPECT_EQ(mixed[2], plain[1]);
+  EXPECT_EQ(mixed[0].size(), 3u);
+
+  EXPECT_TRUE(tagger.Tag(empty).empty());
+  EXPECT_EQ(tagger.TagAll({empty, empty}),
+            (std::vector<std::vector<int64_t>>(2)));
 }
 
 // ----------------------------------------------------------- hash embeddings
