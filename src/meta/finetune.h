@@ -13,6 +13,19 @@
 
 namespace fewner::meta {
 
+/// Runs `steps` clipped SGD steps on the support loss against `net`'s
+/// parameters in place (callers snapshot/restore as needed); returns the last
+/// step's loss.
+double SgdOnSupport(models::Backbone* net,
+                    const std::vector<models::EncodedSentence>& support,
+                    const std::vector<bool>& valid_tags, int64_t steps, float lr);
+
+/// Test-time fine-tuning, shared by FineTune and Reptile: SgdOnSupport on the
+/// episode's support set, decode its query set, restore `net`'s parameters.
+std::vector<std::vector<int64_t>> FineTuneAndDecode(
+    models::Backbone* net, const models::EncodedEpisode& episode, int64_t steps,
+    float lr);
+
 /// Conventional train-then-fine-tune baseline.
 class FineTune : public FewShotMethod {
  public:

@@ -46,6 +46,12 @@ class MatchingNet : public FewShotMethod {
                                const tensor::Tensor& support_features,
                                const tensor::Tensor& support_labels) const;
 
+  /// Normalized support features [T, D] and their tag one-hots
+  /// [T, max_tags].
+  static void BuildSupport(const models::Backbone& net,
+                           const std::vector<models::EncodedSentence>& support,
+                           tensor::Tensor* features, tensor::Tensor* labels);
+
   tensor::Tensor EpisodeLoss(const models::Backbone& net,
                              const models::EncodedEpisode& episode) const;
 

@@ -1,8 +1,11 @@
 #include "meta/parallel.h"
 
 #include <atomic>
+#include <optional>
 
+#include "nn/optim.h"
 #include "tensor/intraop.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -110,6 +113,49 @@ ParallelMetaBatch BackboneMetaBatch(int64_t num_threads, models::Backbone* maste
     net->set_dropout_base(master->dropout_base());
   };
   return ParallelMetaBatch(num_threads, std::move(factory), std::move(sync));
+}
+
+void MetaTrain(const std::string& name, nn::Module* master, ParallelMetaBatch batch,
+               const TrainConfig& config, const MetaTaskFn& task,
+               const MetaUpdateFn& update) {
+  master->SetTraining(true);
+  std::optional<nn::Adam> optimizer;
+  if (!update) {
+    optimizer = nn::Adam(master->Parameters(), config.meta_lr, 0.9f, 0.999f, 1e-8f,
+                         config.weight_decay);
+  }
+  const std::vector<tensor::Tensor> params = nn::ParameterTensors(master);
+  for (int64_t it = 0; it < config.iterations; ++it) {
+    const auto base = static_cast<uint64_t>(it * config.meta_batch);
+    GradAccumulator accumulator(params);
+    const double loss_sum = batch.Run(
+        config.meta_batch,
+        [&](int64_t t, nn::Module* model, const std::vector<tensor::Tensor>& replica,
+            std::vector<tensor::Tensor>* grads) {
+          return task(base + static_cast<uint64_t>(t), model, replica, grads);
+        },
+        &accumulator);
+    std::vector<tensor::Tensor> grads =
+        accumulator.Finish(1.0 / static_cast<double>(config.meta_batch));
+    if (update) {
+      update(grads);
+    } else {
+      nn::ClipGradNorm(&grads, config.grad_clip);
+      optimizer->Step(grads);
+      // Decay when this meta-batch's tasks cross an lr_decay_every boundary.
+      const int64_t seen = (it + 1) * config.meta_batch;
+      if (seen / config.lr_decay_every !=
+          (seen - config.meta_batch) / config.lr_decay_every) {
+        optimizer->DecayLr(config.lr_decay);
+      }
+    }
+    MaybeInvokeCallback(config, it);
+    if (config.verbose && (it % 10 == 0 || it + 1 == config.iterations)) {
+      FEWNER_LOG(INFO) << name << " iteration " << it << " loss "
+                       << loss_sum / static_cast<double>(config.meta_batch);
+    }
+  }
+  master->SetTraining(false);
 }
 
 models::EncodedEpisode PrepareTrainingTask(const data::EpisodeSampler& sampler,

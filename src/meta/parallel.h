@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "data/episode_sampler.h"
@@ -99,6 +100,30 @@ class ParallelMetaBatch {
 /// ParallelMetaBatch over plain Backbone replicas of `master` — the common
 /// case for fewner/maml/protonet/matching_net/reptile/finetune.
 ParallelMetaBatch BackboneMetaBatch(int64_t num_threads, models::Backbone* master);
+
+/// One task of a meta-training iteration: runs episode `episode_id` on
+/// `model` (a synced replica) and fills `grads` with its detached gradients
+/// in the accumulator layout of `params` (the replica's parameter snapshot);
+/// returns the task's loss.
+using MetaTaskFn = std::function<double(uint64_t episode_id, nn::Module* model,
+                                        const std::vector<tensor::Tensor>& params,
+                                        std::vector<tensor::Tensor>* grads)>;
+
+/// Applies one meta-batch's mean task "gradient" to the master's parameters.
+using MetaUpdateFn = std::function<void(const std::vector<tensor::Tensor>& mean)>;
+
+/// The outer loop every meta-learner shares (paper Algorithm 1, and the same
+/// episodic protocol for each baseline): iteration `it` runs the tasks of
+/// episodes it·meta_batch ... it·meta_batch + meta_batch − 1 through `batch`,
+/// averages their gradients in task order, and updates `master` — by default
+/// global-norm clip to `grad_clip`, one Adam step, then the step lr decay
+/// (×lr_decay whenever the task count crosses a multiple of lr_decay_every).
+/// `update`, when set, replaces that default (Reptile's interpolation).
+/// Also owns the training-mode flag, the iteration callback and the verbose
+/// log; `name` labels the log lines.
+void MetaTrain(const std::string& name, nn::Module* master, ParallelMetaBatch batch,
+               const TrainConfig& config, const MetaTaskFn& task,
+               const MetaUpdateFn& update = nullptr);
 
 /// Per-task preamble shared by every method: samples episode `episode_id`,
 /// applies the training bounds, encodes it, and re-forks `net`'s dropout

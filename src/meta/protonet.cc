@@ -1,12 +1,9 @@
 #include "meta/protonet.h"
 
-#include "meta/grad_accumulator.h"
 #include "meta/parallel.h"
-
-#include "nn/optim.h"
+#include "meta/token_head.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
-#include "util/logging.h"
 
 namespace fewner::meta {
 
@@ -77,69 +74,31 @@ Tensor ProtoNet::EpisodeLoss(const models::Backbone& net,
                              const models::EncodedEpisode& episode) {
   std::vector<bool> class_present;
   Tensor prototypes = BuildPrototypes(net, episode.support, &class_present);
-  const int64_t num_classes = net.config().max_tags;
-
-  Tensor total;
-  int64_t tokens = 0;
-  for (const auto& sentence : episode.query) {
-    Tensor logp = tensor::LogSoftmaxLastDim(
-        TokenLogits(net, sentence, prototypes, class_present));
-    // Select gold log-probs; skip tokens whose gold class has no prototype.
-    const int64_t length = sentence.length();
-    std::vector<float> select(static_cast<size_t>(length * num_classes), 0.0f);
-    int64_t used = 0;
-    for (int64_t t = 0; t < length; ++t) {
-      const int64_t gold = sentence.tags[static_cast<size_t>(t)];
-      if (!class_present[static_cast<size_t>(gold)]) continue;
-      select[static_cast<size_t>(t * num_classes + gold)] = 1.0f;
-      ++used;
-    }
-    if (used == 0) continue;
-    Tensor gold_sum = tensor::SumAll(tensor::Mul(
-        logp, Tensor::FromData(Shape{length, num_classes}, std::move(select))));
-    Tensor loss = tensor::MulScalar(tensor::Neg(gold_sum), 1.0f);
-    total = total.defined() ? tensor::Add(total, loss) : loss;
-    tokens += used;
-  }
-  FEWNER_CHECK(total.defined(), "episode with no usable query tokens");
-  return tensor::MulScalar(total, 1.0f / static_cast<float>(tokens));
+  // Tokens whose gold class has no prototype are skipped.
+  return MeanGoldNll(
+      episode.query, net.config().max_tags,
+      [&](const models::EncodedSentence& sentence) {
+        return tensor::LogSoftmaxLastDim(
+            TokenLogits(net, sentence, prototypes, class_present));
+      },
+      &class_present);
 }
 
 void ProtoNet::Train(const data::EpisodeSampler& sampler,
                      const models::EpisodeEncoder& encoder,
                      const TrainConfig& config) {
-  backbone_->SetTraining(true);
-  nn::Adam optimizer(backbone_->Parameters(), config.meta_lr, 0.9f, 0.999f, 1e-8f,
-                     config.weight_decay);
-  ParallelMetaBatch batch = BackboneMetaBatch(config.num_threads, backbone_.get());
-  const std::vector<Tensor> params = nn::ParameterTensors(backbone_.get());
-  for (int64_t it = 0; it < config.iterations; ++it) {
-    const uint64_t base = static_cast<uint64_t>(it * config.meta_batch);
-    GradAccumulator accumulator(params);
-    const double loss_sum = batch.Run(
-        config.meta_batch,
-        [&](int64_t t, nn::Module* model,
-            const std::vector<Tensor>& replica_params,
-            std::vector<Tensor>* grads) -> double {
-          auto* net = static_cast<models::Backbone*>(model);
-          models::EncodedEpisode enc = PrepareTrainingTask(
-              sampler, encoder, config, base + static_cast<uint64_t>(t), net);
-          Tensor loss = EpisodeLoss(*net, enc);
-          *grads = tensor::autodiff::Grad(loss, replica_params);
-          return loss.item();
-        },
-        &accumulator);
-    std::vector<Tensor> grads =
-        accumulator.Finish(1.0 / static_cast<double>(config.meta_batch));
-    nn::ClipGradNorm(&grads, config.grad_clip);
-    optimizer.Step(grads);
-    MaybeInvokeCallback(config, it);
-    if (config.verbose && (it % 10 == 0 || it + 1 == config.iterations)) {
-      FEWNER_LOG(INFO) << name() << " iteration " << it << " loss "
-                       << loss_sum / static_cast<double>(config.meta_batch);
-    }
-  }
-  backbone_->SetTraining(false);
+  MetaTrain(
+      name(), backbone_.get(), BackboneMetaBatch(config.num_threads, backbone_.get()),
+      config,
+      [&](uint64_t episode_id, nn::Module* model,
+          const std::vector<Tensor>& replica_params,
+          std::vector<Tensor>* grads) -> double {
+        auto* net = static_cast<models::Backbone*>(model);
+        Tensor loss = EpisodeLoss(
+            *net, PrepareTrainingTask(sampler, encoder, config, episode_id, net));
+        *grads = tensor::autodiff::Grad(loss, replica_params);
+        return loss.item();
+      });
 }
 
 std::vector<std::vector<int64_t>> ProtoNet::AdaptAndPredict(
@@ -147,29 +106,9 @@ std::vector<std::vector<int64_t>> ProtoNet::AdaptAndPredict(
   backbone_->SetTraining(false);
   std::vector<bool> class_present;
   Tensor prototypes = BuildPrototypes(*backbone_, episode.support, &class_present);
-  std::vector<std::vector<int64_t>> predictions;
-  predictions.reserve(episode.query.size());
-  for (const auto& sentence : episode.query) {
-    Tensor logits = TokenLogits(*backbone_, sentence, prototypes, class_present);
-    const int64_t length = sentence.length();
-    const int64_t num_classes = backbone_->config().max_tags;
-    std::vector<int64_t> tags(static_cast<size_t>(length));
-    const auto& values = logits.data();
-    for (int64_t t = 0; t < length; ++t) {
-      int64_t best = 0;
-      float best_v = values[static_cast<size_t>(t * num_classes)];
-      for (int64_t c = 1; c < num_classes; ++c) {
-        const float v = values[static_cast<size_t>(t * num_classes + c)];
-        if (v > best_v) {
-          best_v = v;
-          best = c;
-        }
-      }
-      tags[static_cast<size_t>(t)] = best;
-    }
-    predictions.push_back(std::move(tags));
-  }
-  return predictions;
+  return ArgmaxTags(episode.query, [&](const models::EncodedSentence& sentence) {
+    return TokenLogits(*backbone_, sentence, prototypes, class_present);
+  });
 }
 
 }  // namespace fewner::meta

@@ -1,5 +1,6 @@
 #include "nn/serialization.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -62,6 +63,10 @@ util::Status LoadParameters(Module* module, const std::string& path) {
         "checkpoint has " + std::to_string(count) + " parameters, module has " +
         std::to_string(named.size()));
   }
+  // Every tensor is staged and checked before any is written, so a rejected
+  // file leaves the module exactly as it was.
+  std::vector<std::vector<float>> staged;
+  staged.reserve(named.size());
   for (auto& [name, param] : named) {
     uint64_t name_len = 0;
     if (!ReadPod(&in, &name_len) || name_len > 4096) {
@@ -69,7 +74,7 @@ util::Status LoadParameters(Module* module, const std::string& path) {
     }
     std::string stored_name(name_len, '\0');
     in.read(stored_name.data(), static_cast<std::streamsize>(name_len));
-    if (stored_name != name) {
+    if (!in || stored_name != name) {
       return util::Status::InvalidArgument("parameter order mismatch: expected '" +
                                            name + "', found '" + stored_name + "'");
     }
@@ -86,11 +91,21 @@ util::Status LoadParameters(Module* module, const std::string& path) {
     if (tensor::Shape(dims) != param->shape()) {
       return util::Status::InvalidArgument("shape mismatch for '" + name + "'");
     }
-    std::vector<float>* values = param->mutable_data();
-    in.read(reinterpret_cast<char*>(values->data()),
-            static_cast<std::streamsize>(values->size() * sizeof(float)));
+    std::vector<float> values(param->data().size());
+    in.read(reinterpret_cast<char*>(values.data()),
+            static_cast<std::streamsize>(values.size() * sizeof(float)));
     if (!in) return util::Status::InvalidArgument("corrupt checkpoint (values)");
+    for (float v : values) {
+      if (!std::isfinite(v)) {
+        return util::Status::InvalidArgument("non-finite value in '" + name + "'");
+      }
+    }
+    staged.push_back(std::move(values));
   }
+  if (in.peek() != std::ifstream::traits_type::eof()) {
+    return util::Status::InvalidArgument("trailing bytes after the last parameter");
+  }
+  RestoreParameterValues(module, staged);
   return util::Status::OK();
 }
 

@@ -7,7 +7,7 @@ WorkspaceArena& WorkspaceArena::ThreadLocal() {
   return arena;
 }
 
-std::shared_ptr<internal::Node> WorkspaceArena::Acquire() {
+std::shared_ptr<internal::Node> WorkspaceArena::Acquire(size_t numel) {
   const size_t n = pool_.size();
   const size_t scan = n < kMaxScan ? n : kMaxScan;
   for (size_t step = 0; step < scan; ++step) {
@@ -21,6 +21,11 @@ std::shared_ptr<internal::Node> WorkspaceArena::Acquire() {
       node->requires_grad = false;
       node->inputs.clear();
       node->backward = nullptr;
+      // Bound what the pool keeps: a buffer far larger than this output
+      // would otherwise stay pinned at its high-water mark forever.
+      if (node->values.capacity() > 2 * numel + 4096) {
+        std::vector<float>().swap(node->values);
+      }
       return slot;
     }
   }

@@ -26,16 +26,19 @@ namespace fewner::tensor {
 
 /// Per-thread pool of computation-graph nodes backing eval-mode op outputs.
 /// Buffers keep their capacity across reuse, so steady-state tagging of
-/// same-shaped sentences performs no float allocations at all.
+/// same-shaped sentences performs no float allocations at all — but only up
+/// to a bound: a recycled buffer larger than 2n + 4096 floats for an
+/// n-element output is released first, so one huge output cannot pin its
+/// capacity in the pool for the life of the thread.
 class WorkspaceArena {
  public:
   /// The calling thread's arena (created on first use).
   static WorkspaceArena& ThreadLocal();
 
-  /// A node owned only by the arena and the returned handle.  Its values
-  /// buffer holds stale data from a previous op; callers must resize and
-  /// overwrite (or zero) it.
-  std::shared_ptr<internal::Node> Acquire();
+  /// A node owned only by the arena and the returned handle, for an output
+  /// of `numel` elements.  Its values buffer holds stale data from a previous
+  /// op (or none); callers must resize to `numel` and overwrite (or zero) it.
+  std::shared_ptr<internal::Node> Acquire(size_t numel);
 
   /// Drops every pooled node (frees the float buffers of nodes no Tensor
   /// references; pinned nodes stay alive through their handles).

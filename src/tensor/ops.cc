@@ -38,7 +38,7 @@ OpOutput NewOutput(const char* op, const Shape& shape, bool zero = false) {
   const size_t n = static_cast<size_t>(shape.numel());
   std::shared_ptr<internal::Node> node;
   if (EvalMode::active()) {
-    node = WorkspaceArena::ThreadLocal().Acquire();
+    node = WorkspaceArena::ThreadLocal().Acquire(n);
     node->shape = shape;
   } else {
     node = std::make_shared<internal::Node>();
@@ -56,7 +56,7 @@ OpOutput NewOutput(const char* op, Shape&& shape, bool zero = false) {
   const size_t n = static_cast<size_t>(shape.numel());
   std::shared_ptr<internal::Node> node;
   if (EvalMode::active()) {
-    node = WorkspaceArena::ThreadLocal().Acquire();
+    node = WorkspaceArena::ThreadLocal().Acquire(n);
     node->shape = shape;  // copy keeps the recycled dims capacity alive
   } else {
     node = std::make_shared<internal::Node>();
@@ -73,9 +73,13 @@ OpOutput NewOutput(const char* op, Shape&& shape, bool zero = false) {
 /// for Slice/MaxAxis — built without materializing a temporary dims vector.
 OpOutput NewOutputPatched(const char* op, const Shape& base, int64_t axis,
                           int64_t dim, bool zero = false) {
+  size_t n = static_cast<size_t>(dim);
+  for (int64_t i = 0; i < base.rank(); ++i) {
+    if (i != axis) n *= static_cast<size_t>(base.dim(i));
+  }
   std::shared_ptr<internal::Node> node;
   if (EvalMode::active()) {
-    node = WorkspaceArena::ThreadLocal().Acquire();
+    node = WorkspaceArena::ThreadLocal().Acquire(n);
   } else {
     node = std::make_shared<internal::Node>();
   }
@@ -83,7 +87,7 @@ OpOutput NewOutputPatched(const char* op, const Shape& base, int64_t axis,
   node->shape.set_dim(axis, dim);
   node->op = op;
   node->leaf = false;
-  node->values.resize(static_cast<size_t>(node->shape.numel()));
+  node->values.resize(n);
   if (zero) std::fill(node->values.begin(), node->values.end(), 0.0f);
   return {std::move(node)};
 }
@@ -579,7 +583,9 @@ Tensor Slice(const Tensor& t, int64_t axis, int64_t start, int64_t length) {
   OpOutput out = NewOutputPatched("slice", shape, axis, length);
   float* ov = out.data();
   const float* tv = t.data().data();
-  for (int64_t o = 0; o < outer; ++o) {
+  // An empty output may have no buffer at all, and memcpy forbids null even
+  // for zero bytes.
+  for (int64_t o = 0; length * inner > 0 && o < outer; ++o) {
     std::memcpy(ov + o * length * inner, tv + (o * axis_size + start) * inner,
                 static_cast<size_t>(length * inner) * sizeof(float));
   }
@@ -866,52 +872,6 @@ Tensor ScatterAddRows(const Tensor& src, const std::vector<int64_t>& indices,
                    });
 }
 
-Tensor Unfold1d(const Tensor& t, int64_t window) {
-  FEWNER_CHECK(t.rank() == 2, "Unfold1d requires rank 2");
-  const int64_t length = t.shape().dim(0);
-  const int64_t d = t.shape().dim(1);
-  FEWNER_CHECK(window >= 1 && window <= length,
-               "Unfold1d window " << window << " for length " << length);
-  const int64_t m = length - window + 1;
-  OpOutput out = NewOutput("unfold1d", Shape{m, window * d});
-  float* ov = out.data();
-  const float* tv = t.data().data();
-  for (int64_t i = 0; i < m; ++i) {
-    std::memcpy(ov + i * window * d, tv + i * d,
-                static_cast<size_t>(window * d) * sizeof(float));
-  }
-  if (EvalMode::active()) return SealEval(std::move(out));
-  return SealGraph(std::move(out), {t},
-                   [window](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
-                     return {Fold1d(grad, window)};
-                   });
-}
-
-Tensor Fold1d(const Tensor& t, int64_t window) {
-  FEWNER_CHECK(t.rank() == 2, "Fold1d requires rank 2");
-  const int64_t m = t.shape().dim(0);
-  const int64_t wd = t.shape().dim(1);
-  FEWNER_CHECK(window >= 1 && wd % window == 0,
-               "Fold1d: window " << window << " does not divide row size " << wd);
-  const int64_t d = wd / window;
-  const int64_t length = m + window - 1;
-  OpOutput out = NewOutput("fold1d", Shape{length, d}, /*zero=*/true);
-  float* ov = out.data();
-  const float* tv = t.data().data();
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t w = 0; w < window; ++w) {
-      for (int64_t j = 0; j < d; ++j) {
-        ov[(i + w) * d + j] += tv[i * wd + w * d + j];
-      }
-    }
-  }
-  if (EvalMode::active()) return SealEval(std::move(out));
-  return SealGraph(std::move(out), {t},
-                   [window](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
-                     return {Unfold1d(grad, window)};
-                   });
-}
-
 Tensor UnfoldTimeBatch(const Tensor& t, int64_t window) {
   FEWNER_CHECK(t.rank() == 3, "UnfoldTimeBatch requires rank 3");
   const int64_t lanes = t.shape().dim(0);
@@ -1036,18 +996,6 @@ Tensor Dropout(const Tensor& t, float p, util::Rng* rng, bool training) {
   std::vector<float> mask(t.data().size());
   for (float& v : mask) v = rng->Bernoulli(p) ? 0.0f : scale;
   return Mul(t, Tensor::FromData(t.shape(), std::move(mask)));
-}
-
-Tensor StackRows(const std::vector<Tensor>& rows) {
-  FEWNER_CHECK(!rows.empty(), "StackRows of zero rows");
-  std::vector<Tensor> reshaped;
-  reshaped.reserve(rows.size());
-  const int64_t d = rows[0].numel();
-  for (const Tensor& row : rows) {
-    FEWNER_CHECK(row.numel() == d, "StackRows size mismatch");
-    reshaped.push_back(Reshape(row, Shape{1, d}));
-  }
-  return Concat(reshaped, 0);
 }
 
 }  // namespace fewner::tensor

@@ -152,9 +152,6 @@ TEST_F(EvalModeOpTest, ShapeManipulation) {
                                 rng_.UniformInt(static_cast<uint64_t>(n - start)));
     CheckOp("Slice", [&] { return Slice(t, 1, start, len); });
     CheckOp("Slice/empty", [&] { return Slice(t, 0, 0, 0); });  // zero-length
-    CheckOp("StackRows", [&] {
-      return StackRows({Slice(t, 0, 0, 1), Slice(u, 0, m - 1, 1)});
-    });
   }
 }
 
@@ -190,9 +187,10 @@ TEST_F(EvalModeOpTest, MatMulAndGatherScatter) {
 
     const int64_t window = 1 + static_cast<int64_t>(
                                    rng_.UniformInt(static_cast<uint64_t>(m)));
-    CheckOp("Unfold1d", [&] { return Unfold1d(a, window); });
-    Tensor folded_src = RandTensor(Shape{m, window * k}, &rng_);
-    CheckOp("Fold1d", [&] { return Fold1d(folded_src, window); });
+    CheckOp("UnfoldTimeBatch",
+            [&] { return UnfoldTimeBatch(Reshape(a, Shape{1, m, k}), window); });
+    Tensor folded_src = RandTensor(Shape{1, m, window * k}, &rng_);
+    CheckOp("FoldTimeBatch", [&] { return FoldTimeBatch(folded_src, window); });
   }
 }
 
@@ -248,6 +246,32 @@ TEST(EvalModeTest, ArenaRecyclesNodesAcrossIterations) {
   EXPECT_GE(arena.reuse_count(), 140u);
   arena.Clear();
   EXPECT_EQ(arena.pool_size(), 0u);
+}
+
+TEST(EvalModeTest, RecycledNodeCapacityIsBoundedByItsOutput) {
+  WorkspaceArena& arena = WorkspaceArena::ThreadLocal();
+  arena.Clear();
+  const Tensor large = Tensor::Ones(Shape{1 << 18});
+  const Tensor medium = Tensor::Ones(Shape{3000});
+  const Tensor small = Tensor::Ones(Shape{10});
+  const uint64_t reuses = arena.reuse_count();
+  {
+    EvalMode eval;
+    MulScalar(large, 2.0f);  // dropped at once: its node returns to the pool
+    const Tensor out = MulScalar(small, 2.0f);
+    ASSERT_EQ(arena.pool_size(), 1u);
+    ASSERT_EQ(arena.reuse_count(), reuses + 1);
+    // The 2^18-float buffer is released, not kept behind a 10-float output.
+    EXPECT_LE(out.data().capacity(), 2u * 10u + 4096u);
+  }
+  {
+    EvalMode eval;
+    MulScalar(medium, 2.0f);
+    // Within the bound the buffer is kept, so steady-state reuse still
+    // allocates nothing.
+    EXPECT_EQ(MulScalar(small, 2.0f).data().capacity(), 3000u);
+  }
+  arena.Clear();
 }
 
 TEST(EvalModeTest, EscapedTensorsKeepTheirValues) {

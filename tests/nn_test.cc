@@ -367,7 +367,10 @@ TEST(OptimTest, WeightDecayShrinksParameters) {
 
 // Serialization tests live here since they operate on Module parameters.
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "nn/serialization.h"
 
@@ -412,6 +415,62 @@ TEST(SerializationTest, GarbageFileIsRejected) {
   util::Rng rng(1);
   Linear a(2, 2, &rng);
   EXPECT_FALSE(LoadParameters(&a, path).ok());
+  std::remove(path.c_str());
+}
+
+/// Bytes of a checkpoint of `module`, and a writer for edited copies.
+std::string CheckpointBytes(Module* module, const std::string& path) {
+  EXPECT_TRUE(SaveParameters(module, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(SerializationTest, TruncationAtEveryByteIsRejectedAndChangesNothing) {
+  util::Rng rng(1), rng2(2);
+  Linear a(3, 2, &rng);  // two tensors: a cut inside the bias follows a whole weight
+  Linear b(3, 2, &rng2);
+  const std::string path = ::testing::TempDir() + "/fewner_trunc.bin";
+  const std::string bytes = CheckpointBytes(&a, path);
+  const auto before = SnapshotParameterValues(&b);
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    WriteBytes(path, bytes.substr(0, cut));
+    EXPECT_FALSE(LoadParameters(&b, path).ok()) << "accepted a cut at byte " << cut;
+    const auto after = SnapshotParameterValues(&b);
+    for (size_t i = 0; i < before.size(); ++i) {
+      ASSERT_EQ(0, std::memcmp(before[i].data(), after[i].data(),
+                               before[i].size() * sizeof(float)))
+          << "cut at byte " << cut << " changed slot " << i;
+    }
+  }
+  WriteBytes(path, bytes);
+  EXPECT_TRUE(LoadParameters(&b, path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(SerializationTest, TrailingByteIsRejected) {
+  util::Rng rng(1);
+  Linear a(3, 2, &rng);
+  const std::string path = ::testing::TempDir() + "/fewner_trailing.bin";
+  WriteBytes(path, CheckpointBytes(&a, path) + '\0');
+  EXPECT_FALSE(LoadParameters(&a, path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(SerializationTest, NanValueIsRejectedAndChangesNothing) {
+  util::Rng rng(1), rng2(2);
+  Linear a(3, 2, &rng);
+  Linear b(3, 2, &rng2);
+  a.Parameters().back()->mutable_data()->back() = std::nanf("");
+  const std::string path = ::testing::TempDir() + "/fewner_nan.bin";
+  ASSERT_TRUE(SaveParameters(&a, path).ok());
+  const auto before = SnapshotParameterValues(&b);
+  EXPECT_FALSE(LoadParameters(&b, path).ok());
+  EXPECT_EQ(before, SnapshotParameterValues(&b));
   std::remove(path.c_str());
 }
 

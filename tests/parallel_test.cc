@@ -9,8 +9,11 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <type_traits>
+#include <utility>
 
 #include "data/synthetic.h"
 #include "meta/fewner.h"
@@ -88,6 +91,21 @@ class ParallelTest : public ::testing::Test {
     for (size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(serial[i], two[i]) << "slot " << i << " differs at 2 threads";
       EXPECT_EQ(serial[i], eight[i]) << "slot " << i << " differs at 8 threads";
+    }
+  }
+
+  /// Final parameter values of `Method` trained for `iterations` from seed 1.
+  template <typename Method>
+  std::vector<std::vector<float>> TrainedValues(TrainConfig config,
+                                                int64_t iterations) const {
+    config.iterations = iterations;
+    util::Rng rng(1);
+    Method method(config_, &rng);
+    method.Train(*sampler_, *encoder_, config);
+    if constexpr (std::is_same_v<Method, Snail>) {
+      return nn::SnapshotParameterValues(method.model());
+    } else {
+      return nn::SnapshotParameterValues(method.backbone());
     }
   }
 
@@ -179,6 +197,41 @@ TEST_F(ParallelTest, FineTuneParityAcrossThreadCounts) {
     method.Train(*sampler_, *encoder_, WithThreads(threads));
     return nn::SnapshotParameterValues(method.backbone());
   });
+}
+
+// ------------------------------------------------ the shared outer loop
+
+TEST_F(ParallelTest, LrDecayReachesEveryAdamTrainedMethod) {
+  // lr_decay 0 on a one-meta-batch boundary: the first update's decay zeroes
+  // Adam's learning rate, so iterations 2 and 3 must leave every parameter
+  // bitwise where iteration 1 put it — for every method the outer loop
+  // updates with Adam, not only the ones that used to decay.
+  TrainConfig config = WithThreads(1);
+  config.meta_batch = 2;
+  config.lr_decay = 0.0f;
+  config.lr_decay_every = config.meta_batch;
+  const std::vector<std::pair<
+      const char*, std::function<std::vector<std::vector<float>>(int64_t)>>>
+      methods = {
+          {"FewNER", [&](int64_t n) { return TrainedValues<Fewner>(config, n); }},
+          {"MAML", [&](int64_t n) { return TrainedValues<Maml>(config, n); }},
+          {"ProtoNet", [&](int64_t n) { return TrainedValues<ProtoNet>(config, n); }},
+          {"MatchingNet",
+           [&](int64_t n) { return TrainedValues<MatchingNet>(config, n); }},
+          {"SNAIL", [&](int64_t n) { return TrainedValues<Snail>(config, n); }},
+          {"FineTune", [&](int64_t n) { return TrainedValues<FineTune>(config, n); }},
+      };
+  for (const auto& [name, values_after] : methods) {
+    const std::vector<std::vector<float>> one = values_after(1);
+    const std::vector<std::vector<float>> three = values_after(3);
+    ASSERT_EQ(one.size(), three.size()) << name;
+    for (size_t i = 0; i < one.size(); ++i) {
+      ASSERT_EQ(one[i].size(), three[i].size()) << name << " slot " << i;
+      EXPECT_EQ(0, std::memcmp(one[i].data(), three[i].data(),
+                               one[i].size() * sizeof(float)))
+          << name << " slot " << i << " moved after the learning rate decayed to 0";
+    }
+  }
 }
 
 // ------------------------------------------------ reduction-level parity

@@ -65,9 +65,9 @@ TEST(TensorEdgeTest, ChainedBroadcasts) {
 }
 
 TEST(TensorEdgeTest, UnfoldWindowEqualsLength) {
-  Tensor t = Tensor::FromData(Shape{3, 2}, {1, 2, 3, 4, 5, 6});
-  Tensor u = tensor::Unfold1d(t, 3);
-  EXPECT_EQ(u.shape(), (Shape{1, 6}));
+  Tensor t = Tensor::FromData(Shape{1, 3, 2}, {1, 2, 3, 4, 5, 6});
+  Tensor u = tensor::UnfoldTimeBatch(t, 3);
+  EXPECT_EQ(u.shape(), (Shape{1, 1, 6}));
   EXPECT_FLOAT_EQ(u.at(5), 6.0f);
 }
 

@@ -237,23 +237,6 @@ TEST(OpsTest, IndexSelectAndScatterAdd) {
   EXPECT_FLOAT_EQ(scattered.at(2), 0.0f);   // row 1 untouched
 }
 
-TEST(OpsTest, UnfoldFold) {
-  // [4, 2] sequence, window 2 -> [3, 4].
-  Tensor t = Tensor::FromData(Shape{4, 2}, {1, 2, 3, 4, 5, 6, 7, 8});
-  Tensor u = Unfold1d(t, 2);
-  EXPECT_EQ(u.shape(), (Shape{3, 4}));
-  // Row 1 is rows 1..2 of the input: [3, 4, 5, 6].
-  EXPECT_FLOAT_EQ(u.at(4), 3.0f);
-  EXPECT_FLOAT_EQ(u.at(7), 6.0f);
-
-  Tensor f = Fold1d(u, 2);
-  EXPECT_EQ(f.shape(), (Shape{4, 2}));
-  // Middle rows are double-counted by overlap-add.
-  EXPECT_FLOAT_EQ(f.at(0), 1.0f);
-  EXPECT_FLOAT_EQ(f.at(2), 6.0f);
-  EXPECT_FLOAT_EQ(f.at(7), 8.0f);
-}
-
 TEST(OpsTest, LogSumExpMatchesNaive) {
   Tensor t = Tensor::FromData(Shape{2, 3}, {1, 2, 3, -1, -2, -3});
   Tensor lse = LogSumExpLastDim(t);
@@ -296,14 +279,6 @@ TEST(OpsTest, DropoutPreservesExpectation) {
   EXPECT_NEAR(mean, 1.0, 0.05);
 }
 
-TEST(OpsTest, StackRows) {
-  Tensor a = Tensor::FromData(Shape{3}, {1, 2, 3});
-  Tensor b = Tensor::FromData(Shape{3}, {4, 5, 6});
-  Tensor m = StackRows({a, b});
-  EXPECT_EQ(m.shape(), (Shape{2, 3}));
-  EXPECT_FLOAT_EQ(m.at(4), 5.0f);
-}
-
 TEST(OpsTest, RequiresGradPropagates) {
   Tensor a = Tensor::Ones(Shape{2}, true);
   Tensor b = Tensor::Ones(Shape{2});
@@ -338,43 +313,6 @@ TEST(MatMulKernelTest, BlockedMatchesNaiveBitwiseOnAwkwardShapes) {
         }
       }
     }
-  }
-}
-
-TEST(OpsTest, UnfoldFoldAreAdjoint) {
-  // <Unfold(x), y> == <x, Fold(y)> for all x, y — the defining property of an
-  // adjoint pair, which is exactly what autodiff uses them as.
-  util::Rng rng(81);
-  for (int64_t window = 1; window <= 3; ++window) {
-    Tensor x = Tensor::Randn(Shape{6, 2}, &rng);
-    Tensor y = Tensor::Randn(Shape{6 - window + 1, window * 2}, &rng);
-    const Tensor ux = Unfold1d(x, window);
-    const Tensor fy = Fold1d(y, window);
-    double lhs = 0.0, rhs = 0.0;
-    for (int64_t i = 0; i < ux.numel(); ++i) lhs += ux.at(i) * y.at(i);
-    for (int64_t i = 0; i < x.numel(); ++i) rhs += x.at(i) * fy.at(i);
-    EXPECT_NEAR(lhs, rhs, 1e-4) << "window " << window;
-  }
-}
-
-TEST(OpsTest, UnfoldFoldGradientsMatchFiniteDifferences) {
-  util::Rng rng(82);
-  const int64_t window = 2;
-  Tensor x = Tensor::Randn(Shape{5, 3}, &rng, 1.0f, /*requires_grad=*/true);
-  Tensor w = Tensor::Randn(Shape{4, 6}, &rng);  // random probe direction
-  auto loss_at = [&](const std::vector<float>& values) {
-    Tensor t = Tensor::FromData(x.shape(), values);
-    return SumAll(Mul(Unfold1d(t, window), w)).item();
-  };
-  Tensor loss = SumAll(Mul(Unfold1d(x, window), w));
-  auto g = autodiff::Grad(loss, {x});
-  const float eps = 1e-2f;
-  for (int64_t i = 0; i < x.numel(); ++i) {
-    std::vector<float> plus = x.data(), minus = x.data();
-    plus[static_cast<size_t>(i)] += eps;
-    minus[static_cast<size_t>(i)] -= eps;
-    EXPECT_NEAR(g[0].at(i), (loss_at(plus) - loss_at(minus)) / (2 * eps), 1e-2)
-        << "x[" << i << "]";
   }
 }
 
