@@ -24,20 +24,21 @@ class LinearChainCrf : public nn::Module {
  public:
   explicit LinearChainCrf(int64_t num_tags);
 
-  /// Negative log-likelihood of `tags` given per-token emissions [L, num_tags].
-  /// If `valid_tags` is non-null it must have num_tags entries; invalid tags are
-  /// excluded from the partition function (their emissions are crushed).
+  /// Negative log-likelihood of `tags` given per-token emissions [L, num_tags],
+  /// a scalar: the B=1 case of NegLogLikelihoodBatch.  If `valid_tags` is
+  /// non-null it must have num_tags entries; invalid tags are excluded from
+  /// the partition function (their emissions are crushed).
   tensor::Tensor NegLogLikelihood(const tensor::Tensor& emissions,
                                   const std::vector<int64_t>& tags,
                                   const std::vector<bool>* valid_tags = nullptr) const;
 
   /// Batched negative log-likelihood over padded emissions [B, Lmax, num_tags]
   /// with lane-major gold tags (`tags.size() == B * Lmax`, padding entries
-  /// ignored).  Returns a [B] tensor whose lane b is bitwise-equal to
-  /// NegLogLikelihood on that lane's [lengths[b], num_tags] slice: the masked
-  /// log-space forward runs one batched step per timestep with finished lanes
-  /// carrying alpha through an exact Where select, and the gold score sums
-  /// per lane in the same double-precision ascending order as SumAll.
+  /// ignored).  Returns a [B] tensor whose lane b is bitwise-equal to the NLL
+  /// of that lane's [lengths[b], num_tags] slice alone: the masked log-space
+  /// forward runs one batched step per timestep with finished lanes carrying
+  /// alpha through an exact Where select, and the gold score sums per lane in
+  /// the same double-precision ascending order as SumAll.
   tensor::Tensor NegLogLikelihoodBatch(const tensor::Tensor& emissions,
                                        const std::vector<int64_t>& tags,
                                        const std::vector<int64_t>& lengths,

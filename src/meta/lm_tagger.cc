@@ -1,9 +1,9 @@
 #include "meta/lm_tagger.h"
 
+#include "meta/parallel.h"
 #include "nn/optim.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
-#include "util/logging.h"
 
 namespace fewner::meta {
 
@@ -49,20 +49,25 @@ void LmCrfTagger::Train(const data::EpisodeSampler& sampler,
   finetune_lr_ = config.inner_lr;
   nn::Adam optimizer(head_.Parameters(), config.meta_lr, 0.9f, 0.999f, 1e-8f,
                      config.weight_decay);
-  uint64_t episode_id = 0;
-  const int64_t updates = config.iterations * config.meta_batch;
-  for (int64_t step = 0; step < updates; ++step) {
-    data::Episode episode = sampler.Sample(episode_id++);
-    BoundTrainingEpisode(config, &episode);
-    models::EncodedEpisode enc = encoder.Encode(episode);
-    Tensor loss = BatchLoss(enc.support, enc.valid_tags);
-    std::vector<Tensor> grads =
-        tensor::autodiff::Grad(loss, nn::ParameterTensors(&head_));
-    nn::ClipGradNorm(&grads, config.grad_clip);
-    optimizer.Step(grads);
-    if (config.verbose && step % 50 == 0) {
-      FEWNER_LOG(INFO) << name() << " step " << step << " loss " << loss.item();
+  // The same iterations × meta_batch episodes as MetaTrain, but one Adam step
+  // per episode; the decay rule, callback and log follow MetaTrain's.
+  for (int64_t it = 0; it < config.iterations; ++it) {
+    double loss_sum = 0.0;
+    for (int64_t t = 0; t < config.meta_batch; ++t) {
+      const int64_t seen = it * config.meta_batch + t + 1;
+      data::Episode episode = sampler.Sample(static_cast<uint64_t>(seen - 1));
+      BoundTrainingEpisode(config, &episode);
+      models::EncodedEpisode enc = encoder.Encode(episode);
+      Tensor loss = BatchLoss(enc.support, enc.valid_tags);
+      std::vector<Tensor> grads =
+          tensor::autodiff::Grad(loss, nn::ParameterTensors(&head_));
+      nn::ClipGradNorm(&grads, config.grad_clip);
+      optimizer.Step(grads);
+      if (CrossesLrDecayBoundary(config, seen, 1)) optimizer.DecayLr(config.lr_decay);
+      loss_sum += loss.item();
     }
+    FinishIteration(name(), config, it,
+                    loss_sum / static_cast<double>(config.meta_batch));
   }
 }
 

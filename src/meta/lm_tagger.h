@@ -35,6 +35,9 @@ class LmCrfTagger : public FewShotMethod {
   std::vector<std::vector<int64_t>> AdaptAndPredict(
       const models::EncodedEpisode& episode) override;
 
+  /// The trainable CRF stack (emission projection + CRF).
+  nn::Module* head() { return &head_; }
+
  private:
   /// Frozen features for a sentence, cached by source pointer (the LM never
   /// changes after pre-training, so features are reusable across episodes).

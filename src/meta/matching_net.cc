@@ -18,43 +18,32 @@ MatchingNet::MatchingNet(const models::BackboneConfig& config, util::Rng* rng) {
 }
 
 Tensor MatchingNet::NormalizedFeatures(const models::Backbone& net,
-                                       const models::EncodedSentence& sentence) {
-  Tensor features = net.Encode(sentence, Tensor());  // [L, D]
+                                       const models::EncodedBatch& batch) {
+  Tensor features = net.TokenFeatures(batch, Tensor());  // [T, D]
   Tensor norm = tensor::Sqrt(tensor::AddScalar(
       tensor::SumAxis(tensor::Square(features), 1, /*keepdim=*/true), 1e-8f));
   return tensor::Div(features, norm);
 }
 
 Tensor MatchingNet::QueryLogProbs(const models::Backbone& net,
-                                  const models::EncodedSentence& sentence,
-                                  const Tensor& support_features,
-                                  const Tensor& support_labels) const {
-  Tensor queries = NormalizedFeatures(net, sentence);  // [L, D]
-  Tensor cosine = tensor::MatMulNT(queries, support_features);  // [L, S·L]
+                                  const models::EncodedEpisode& episode,
+                                  models::EncodedBatch* query) const {
+  const models::EncodedBatch support = models::PackBatch(episode.support);
+  Tensor support_features = NormalizedFeatures(net, support);     // [S, D]
+  Tensor support_labels = SupportLabels(support, net.config().max_tags);
+  *query = models::PackBatch(episode.query);
+  Tensor queries = NormalizedFeatures(net, *query);                // [T, D]
+  Tensor cosine = tensor::MatMulNT(queries, support_features);     // [T, S]
   Tensor attention = tensor::SoftmaxLastDim(tensor::MulScalar(cosine, temperature_));
   Tensor votes = tensor::MatMul(attention, support_labels);  // rows sum to 1
   return tensor::Log(tensor::AddScalar(votes, 1e-6f));
 }
 
-void MatchingNet::BuildSupport(const models::Backbone& net,
-                               const std::vector<models::EncodedSentence>& support,
-                               Tensor* features, Tensor* labels) {
-  std::vector<Tensor> feature_blocks;
-  for (const auto& sentence : support) {
-    feature_blocks.push_back(NormalizedFeatures(net, sentence));
-  }
-  *features = tensor::Concat(feature_blocks, 0);
-  *labels = SupportLabels(support, net.config().max_tags);
-}
-
 Tensor MatchingNet::EpisodeLoss(const models::Backbone& net,
                                 const models::EncodedEpisode& episode) const {
-  Tensor features, labels;
-  BuildSupport(net, episode.support, &features, &labels);
-  return MeanGoldNll(episode.query, net.config().max_tags,
-                     [&](const models::EncodedSentence& sentence) {
-                       return QueryLogProbs(net, sentence, features, labels);
-                     });
+  models::EncodedBatch query;
+  Tensor log_probs = QueryLogProbs(net, episode, &query);
+  return MeanGoldNll(log_probs, query);
 }
 
 void MatchingNet::Train(const data::EpisodeSampler& sampler,
@@ -77,11 +66,9 @@ void MatchingNet::Train(const data::EpisodeSampler& sampler,
 std::vector<std::vector<int64_t>> MatchingNet::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
   backbone_->SetTraining(false);
-  Tensor features, labels;
-  BuildSupport(*backbone_, episode.support, &features, &labels);
-  return ArgmaxTags(episode.query, [&](const models::EncodedSentence& sentence) {
-    return QueryLogProbs(*backbone_, sentence, features, labels);
-  });
+  models::EncodedBatch query;
+  Tensor log_probs = QueryLogProbs(*backbone_, episode, &query);
+  return ArgmaxTags(log_probs, query);
 }
 
 }  // namespace fewner::meta

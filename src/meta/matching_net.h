@@ -36,21 +36,16 @@ class MatchingNet : public FewShotMethod {
   // The forward helpers take the backbone explicitly so the episode-parallel
   // trainer can run them against per-worker replicas.
 
-  /// L2-normalized encoder features for one sentence, [L, D].
+  /// L2-normalized encoder features of every token of `batch`, [T, D].
   static tensor::Tensor NormalizedFeatures(const models::Backbone& net,
-                                           const models::EncodedSentence& sentence);
+                                           const models::EncodedBatch& batch);
 
-  /// Log label distribution [L, max_tags] for a query sentence.
+  /// Log label distribution [T, max_tags] for every query token of
+  /// `episode`, voted by all its support tokens; `query` receives the packed
+  /// query set (the row order).
   tensor::Tensor QueryLogProbs(const models::Backbone& net,
-                               const models::EncodedSentence& sentence,
-                               const tensor::Tensor& support_features,
-                               const tensor::Tensor& support_labels) const;
-
-  /// Normalized support features [T, D] and their tag one-hots
-  /// [T, max_tags].
-  static void BuildSupport(const models::Backbone& net,
-                           const std::vector<models::EncodedSentence>& support,
-                           tensor::Tensor* features, tensor::Tensor* labels);
+                               const models::EncodedEpisode& episode,
+                               models::EncodedBatch* query) const;
 
   tensor::Tensor EpisodeLoss(const models::Backbone& net,
                              const models::EncodedEpisode& episode) const;

@@ -63,6 +63,14 @@ inline void MaybeInvokeCallback(const TrainConfig& config, int64_t iteration) {
   }
 }
 
+/// Whether the outer loop's task count, growing from `seen − added` to
+/// `seen`, crossed a multiple of lr_decay_every: the step-decay rule (×lr_decay
+/// per lr_decay_every tasks) every Adam-trained method applies after a step.
+inline bool CrossesLrDecayBoundary(const TrainConfig& config, int64_t seen,
+                                   int64_t added) {
+  return seen / config.lr_decay_every != (seen - added) / config.lr_decay_every;
+}
+
 /// Applies the train-time query/support bounds to an episode in place.
 inline void BoundTrainingEpisode(const TrainConfig& config, data::Episode* episode) {
   if (static_cast<int64_t>(episode->query.size()) > config.train_query_size) {

@@ -142,20 +142,23 @@ void MetaTrain(const std::string& name, nn::Module* master, ParallelMetaBatch ba
     } else {
       nn::ClipGradNorm(&grads, config.grad_clip);
       optimizer->Step(grads);
-      // Decay when this meta-batch's tasks cross an lr_decay_every boundary.
-      const int64_t seen = (it + 1) * config.meta_batch;
-      if (seen / config.lr_decay_every !=
-          (seen - config.meta_batch) / config.lr_decay_every) {
+      if (CrossesLrDecayBoundary(config, (it + 1) * config.meta_batch,
+                                 config.meta_batch)) {
         optimizer->DecayLr(config.lr_decay);
       }
     }
-    MaybeInvokeCallback(config, it);
-    if (config.verbose && (it % 10 == 0 || it + 1 == config.iterations)) {
-      FEWNER_LOG(INFO) << name << " iteration " << it << " loss "
-                       << loss_sum / static_cast<double>(config.meta_batch);
-    }
+    FinishIteration(name, config, it,
+                    loss_sum / static_cast<double>(config.meta_batch));
   }
   master->SetTraining(false);
+}
+
+void FinishIteration(const std::string& name, const TrainConfig& config, int64_t it,
+                     double mean_loss) {
+  MaybeInvokeCallback(config, it);
+  if (config.verbose && (it % 10 == 0 || it + 1 == config.iterations)) {
+    FEWNER_LOG(INFO) << name << " iteration " << it << " loss " << mean_loss;
+  }
 }
 
 models::EncodedEpisode PrepareTrainingTask(const data::EpisodeSampler& sampler,

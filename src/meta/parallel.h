@@ -125,6 +125,12 @@ void MetaTrain(const std::string& name, nn::Module* master, ParallelMetaBatch ba
                const TrainConfig& config, const MetaTaskFn& task,
                const MetaUpdateFn& update = nullptr);
 
+/// End of outer iteration `it` for every training loop: the iteration
+/// callback, then (when verbose) the log line "<name> iteration <it> loss
+/// <mean_loss>" on the first, every tenth and the last iteration.
+void FinishIteration(const std::string& name, const TrainConfig& config, int64_t it,
+                     double mean_loss);
+
 /// Per-task preamble shared by every method: samples episode `episode_id`,
 /// applies the training bounds, encodes it, and re-forks `net`'s dropout
 /// stream for the task (`net` may be null for dropout-free models).  Checks

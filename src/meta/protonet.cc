@@ -19,17 +19,12 @@ ProtoNet::ProtoNet(const models::BackboneConfig& config, util::Rng* rng) {
 }
 
 Tensor ProtoNet::BuildPrototypes(const models::Backbone& net,
-                                 const std::vector<models::EncodedSentence>& support,
+                                 const models::EncodedBatch& support,
                                  std::vector<bool>* class_present) {
   const int64_t num_classes = net.config().max_tags;
-  std::vector<Tensor> features;
-  std::vector<int64_t> tags;
-  for (const auto& sentence : support) {
-    features.push_back(net.Encode(sentence, Tensor()));
-    tags.insert(tags.end(), sentence.tags.begin(), sentence.tags.end());
-  }
-  Tensor all = tensor::Concat(features, 0);  // [T, D]
-  const int64_t total = all.shape().dim(0);
+  Tensor all = net.TokenFeatures(support, Tensor());  // [T, D]
+  const std::vector<int64_t> tags = TokenTags(support);
+  const auto total = static_cast<int64_t>(tags.size());
 
   std::vector<int64_t> counts(static_cast<size_t>(num_classes), 0);
   for (int64_t tag : tags) ++counts[static_cast<size_t>(tag)];
@@ -49,17 +44,17 @@ Tensor ProtoNet::BuildPrototypes(const models::Backbone& net,
 }
 
 Tensor ProtoNet::TokenLogits(const models::Backbone& net,
-                             const models::EncodedSentence& sentence,
+                             const models::EncodedBatch& query,
                              const Tensor& prototypes,
                              const std::vector<bool>& class_present) {
   const int64_t num_classes = net.config().max_tags;
-  Tensor q = net.Encode(sentence, Tensor());  // [L, D]
+  Tensor q = net.TokenFeatures(query, Tensor());  // [T, D]
   // -||q - p||^2 = -(||q||^2 - 2 q·p + ||p||^2)
-  Tensor q_sq = tensor::SumAxis(tensor::Square(q), 1, /*keepdim=*/true);  // [L, 1]
+  Tensor q_sq = tensor::SumAxis(tensor::Square(q), 1, /*keepdim=*/true);  // [T, 1]
   Tensor p_sq = tensor::Reshape(
       tensor::SumAxis(tensor::Square(prototypes), 1, /*keepdim=*/false),
       Shape{1, num_classes});                                             // [1, C]
-  Tensor cross = tensor::MatMulNT(q, prototypes);                         // [L, C]
+  Tensor cross = tensor::MatMulNT(q, prototypes);                         // [T, C]
   Tensor logits = tensor::Neg(
       tensor::Add(tensor::Sub(q_sq, tensor::MulScalar(cross, 2.0f)), p_sq));
   // Classes absent from the support set cannot be predicted.
@@ -73,15 +68,13 @@ Tensor ProtoNet::TokenLogits(const models::Backbone& net,
 Tensor ProtoNet::EpisodeLoss(const models::Backbone& net,
                              const models::EncodedEpisode& episode) {
   std::vector<bool> class_present;
-  Tensor prototypes = BuildPrototypes(net, episode.support, &class_present);
+  Tensor prototypes =
+      BuildPrototypes(net, models::PackBatch(episode.support), &class_present);
+  const models::EncodedBatch query = models::PackBatch(episode.query);
   // Tokens whose gold class has no prototype are skipped.
-  return MeanGoldNll(
-      episode.query, net.config().max_tags,
-      [&](const models::EncodedSentence& sentence) {
-        return tensor::LogSoftmaxLastDim(
-            TokenLogits(net, sentence, prototypes, class_present));
-      },
-      &class_present);
+  return MeanGoldNll(tensor::LogSoftmaxLastDim(
+                         TokenLogits(net, query, prototypes, class_present)),
+                     query, &class_present);
 }
 
 void ProtoNet::Train(const data::EpisodeSampler& sampler,
@@ -105,10 +98,10 @@ std::vector<std::vector<int64_t>> ProtoNet::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
   backbone_->SetTraining(false);
   std::vector<bool> class_present;
-  Tensor prototypes = BuildPrototypes(*backbone_, episode.support, &class_present);
-  return ArgmaxTags(episode.query, [&](const models::EncodedSentence& sentence) {
-    return TokenLogits(*backbone_, sentence, prototypes, class_present);
-  });
+  Tensor prototypes =
+      BuildPrototypes(*backbone_, models::PackBatch(episode.support), &class_present);
+  const models::EncodedBatch query = models::PackBatch(episode.query);
+  return ArgmaxTags(TokenLogits(*backbone_, query, prototypes, class_present), query);
 }
 
 }  // namespace fewner::meta

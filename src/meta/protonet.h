@@ -39,19 +39,18 @@ class ProtoNet : public FewShotMethod {
   static tensor::Tensor EpisodeLoss(const models::Backbone& net,
                                     const models::EncodedEpisode& episode);
 
-  /// Per-token logits [L, max_tags] for one query sentence given prototypes
+  /// Per-token logits [T, max_tags] for every query token given prototypes
   /// [max_tags, D] and a present-class mask.
   static tensor::Tensor TokenLogits(const models::Backbone& net,
-                                    const models::EncodedSentence& sentence,
+                                    const models::EncodedBatch& query,
                                     const tensor::Tensor& prototypes,
                                     const std::vector<bool>& class_present);
 
-  /// Builds prototypes from support features; `class_present` marks classes
-  /// with at least one support token.
-  static tensor::Tensor BuildPrototypes(
-      const models::Backbone& net,
-      const std::vector<models::EncodedSentence>& support,
-      std::vector<bool>* class_present);
+  /// Builds prototypes from the features of every support token;
+  /// `class_present` marks classes with at least one support token.
+  static tensor::Tensor BuildPrototypes(const models::Backbone& net,
+                                        const models::EncodedBatch& support,
+                                        std::vector<bool>* class_present);
 
   std::unique_ptr<models::Backbone> backbone_;
 };

@@ -42,53 +42,53 @@ Snail::Snail(const models::BackboneConfig& config, util::Rng* rng) {
   model_ = std::make_unique<Model>(config, &init_rng);
 }
 
-Tensor Snail::Enrich(const Model& m, const models::EncodedSentence& sentence) {
-  Tensor features = m.backbone->Encode(sentence, Tensor());
-  return m.tc2->Forward(m.tc1->Forward(features));
+Tensor Snail::Enrich(const Model& m, const models::EncodedBatch& batch) {
+  Tensor features = m.backbone->TokenFeatures(batch, Tensor());  // [T, D]
+  // The TC blocks are causal convolutions over time, so each sentence runs
+  // them over its own rows.
+  std::vector<Tensor> enriched;
+  enriched.reserve(static_cast<size_t>(batch.batch));
+  int64_t offset = 0;
+  for (int64_t length : batch.lengths) {
+    enriched.push_back(
+        m.tc2->Forward(m.tc1->Forward(tensor::Slice(features, 0, offset, length))));
+    offset += length;
+  }
+  return enriched.size() == 1 ? enriched.front() : tensor::Concat(enriched, 0);
 }
 
-void Snail::BuildSupport(const Model& m,
-                         const std::vector<models::EncodedSentence>& support,
-                         Tensor* keys, Tensor* labels) {
-  std::vector<Tensor> feature_blocks;
-  for (const auto& sentence : support) feature_blocks.push_back(Enrich(m, sentence));
-  *keys = m.key_proj->Forward(tensor::Concat(feature_blocks, 0));  // [T, attn_dim]
-  *labels = SupportLabels(support, m.backbone->config().max_tags);
-}
-
-Tensor Snail::QueryLogProbs(const Model& m,
-                            const models::EncodedSentence& sentence,
-                            const Tensor& support_keys,
-                            const Tensor& support_labels,
-                            const std::vector<bool>& valid_tags) {
-  Tensor enriched = Enrich(m, sentence);                       // [L, tc]
-  Tensor queries = m.query_proj->Forward(enriched);            // [L, A]
+Tensor Snail::QueryLogProbs(const Model& m, const models::EncodedEpisode& episode,
+                            models::EncodedBatch* query) {
+  const models::EncodedBatch support = models::PackBatch(episode.support);
+  Tensor support_keys = m.key_proj->Forward(Enrich(m, support));  // [S, A]
+  Tensor support_labels = SupportLabels(support, m.backbone->config().max_tags);
+  *query = models::PackBatch(episode.query);
+  Tensor enriched = Enrich(m, *query);                         // [T, tc]
+  Tensor queries = m.query_proj->Forward(enriched);            // [T, A]
   const float scale = 1.0f / std::sqrt(static_cast<float>(m.attn_dim));
   Tensor scores = tensor::MulScalar(
-      tensor::MatMulNT(queries, support_keys), scale);  // [L, T], q·keysᵀ
+      tensor::MatMulNT(queries, support_keys), scale);  // [T, S], q·keysᵀ
   Tensor attention = tensor::SoftmaxLastDim(scores);
   // Attention-weighted label read-out, re-weighted by a learned classifier so
   // the model can counteract the O-class prior of the support tokens.
-  Tensor votes = tensor::MatMul(attention, support_labels);  // [L, C]
+  Tensor votes = tensor::MatMul(attention, support_labels);  // [T, C]
   Tensor logits = m.classifier->Forward(tensor::Concat({enriched, votes}, 1));
   // Tags outside the episode's N ways are masked out of the softmax.
   const int64_t num_classes = m.backbone->config().max_tags;
   std::vector<float> mask(static_cast<size_t>(num_classes), 0.0f);
   for (int64_t c = 0; c < num_classes; ++c) {
-    if (!valid_tags[static_cast<size_t>(c)]) mask[static_cast<size_t>(c)] = -1e7f;
+    if (!episode.valid_tags[static_cast<size_t>(c)]) {
+      mask[static_cast<size_t>(c)] = -1e7f;
+    }
   }
   logits = tensor::Add(logits, Tensor::FromData(Shape{num_classes}, std::move(mask)));
   return tensor::LogSoftmaxLastDim(logits);
 }
 
 Tensor Snail::EpisodeLoss(const Model& m, const models::EncodedEpisode& episode) {
-  Tensor keys, labels;
-  BuildSupport(m, episode.support, &keys, &labels);
-  return MeanGoldNll(episode.query, m.backbone->config().max_tags,
-                     [&](const models::EncodedSentence& sentence) {
-                       return QueryLogProbs(m, sentence, keys, labels,
-                                            episode.valid_tags);
-                     });
+  models::EncodedBatch query;
+  Tensor log_probs = QueryLogProbs(m, episode, &query);
+  return MeanGoldNll(log_probs, query);
 }
 
 void Snail::Train(const data::EpisodeSampler& sampler,
@@ -123,11 +123,9 @@ void Snail::Train(const data::EpisodeSampler& sampler,
 std::vector<std::vector<int64_t>> Snail::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
   model_->SetTraining(false);
-  Tensor keys, labels;
-  BuildSupport(*model_, episode.support, &keys, &labels);
-  return ArgmaxTags(episode.query, [&](const models::EncodedSentence& sentence) {
-    return QueryLogProbs(*model_, sentence, keys, labels, episode.valid_tags);
-  });
+  models::EncodedBatch query;
+  Tensor log_probs = QueryLogProbs(*model_, episode, &query);
+  return ArgmaxTags(log_probs, query);
 }
 
 }  // namespace fewner::meta

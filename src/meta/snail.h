@@ -59,22 +59,16 @@ class Snail : public FewShotMethod {
   // The forward helpers take the model explicitly so the episode-parallel
   // trainer can run them against per-worker replicas.
 
-  /// Encoder features + TC enrichment for one sentence: [L, tc_dim].
-  static tensor::Tensor Enrich(const Model& m,
-                               const models::EncodedSentence& sentence);
+  /// Encoder features + TC enrichment for every token of `batch`:
+  /// [T, tc_dim].
+  static tensor::Tensor Enrich(const Model& m, const models::EncodedBatch& batch);
 
-  /// Per-token log label distribution [L, max_tags] for a query sentence given
-  /// stacked support keys and their label one-hots.
+  /// Per-token log label distribution [T, max_tags] for every query token of
+  /// `episode`, attending over all its support tokens; `query` receives the
+  /// packed query set (the row order).
   static tensor::Tensor QueryLogProbs(const Model& m,
-                                      const models::EncodedSentence& sentence,
-                                      const tensor::Tensor& support_keys,
-                                      const tensor::Tensor& support_labels,
-                                      const std::vector<bool>& valid_tags);
-
-  /// Builds (keys [T, attn_dim], labels [T, max_tags]) from the support set.
-  static void BuildSupport(const Model& m,
-                           const std::vector<models::EncodedSentence>& support,
-                           tensor::Tensor* keys, tensor::Tensor* labels);
+                                      const models::EncodedEpisode& episode,
+                                      models::EncodedBatch* query);
 
   static tensor::Tensor EpisodeLoss(const Model& m,
                                     const models::EncodedEpisode& episode);

@@ -1,12 +1,13 @@
 // Per-token classification pieces shared by the baselines that tag by
 // classifying each token independently (ProtoNet, MatchingNet, SNAIL): the
 // support label one-hots, the gold-tag NLL over a query set, and first-max
-// decoding.  None of them has a CRF.
+// decoding.  None of them has a CRF.  Every [T, ·] tensor here has one row per
+// real token of a packed batch, lane after lane — the row order of
+// models::Backbone::TokenFeatures.
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "models/encoding.h"
@@ -14,24 +15,22 @@
 
 namespace fewner::meta {
 
-/// Per-sentence [L, num_classes] scores or log-probabilities.
-using TokenScoreFn = std::function<tensor::Tensor(const models::EncodedSentence&)>;
+/// Gold tag of every real token of `batch`, lane after lane.
+std::vector<int64_t> TokenTags(const models::EncodedBatch& batch);
 
-/// One-hot tag rows [T, num_classes] for every support token, sentence by
-/// sentence (the row order of the concatenated support features).
-tensor::Tensor SupportLabels(const std::vector<models::EncodedSentence>& support,
-                             int64_t num_classes);
+/// One-hot tag rows [T, num_classes] for every token of `batch`.
+tensor::Tensor SupportLabels(const models::EncodedBatch& batch, int64_t num_classes);
 
-/// Mean over query tokens of −log p(gold tag), with `log_probs` giving each
-/// sentence's [L, num_classes] log-probabilities.  With `class_present`,
-/// tokens whose gold class is absent are skipped (a sentence left with none
-/// adds nothing).
-tensor::Tensor MeanGoldNll(const std::vector<models::EncodedSentence>& query,
-                           int64_t num_classes, const TokenScoreFn& log_probs,
+/// Mean over the tokens of `batch` of −log p(gold tag), given their
+/// log-probabilities [T, num_classes].  With `class_present`, tokens whose
+/// gold class is absent are skipped.
+tensor::Tensor MeanGoldNll(const tensor::Tensor& log_probs,
+                           const models::EncodedBatch& batch,
                            const std::vector<bool>* class_present = nullptr);
 
-/// Tags of every query sentence: the first maximum of each row of `scores`.
-std::vector<std::vector<int64_t>> ArgmaxTags(
-    const std::vector<models::EncodedSentence>& query, const TokenScoreFn& scores);
+/// Tags of every sentence of `batch`: the first maximum of each row of
+/// `scores` [T, num_classes], split at the lane lengths.
+std::vector<std::vector<int64_t>> ArgmaxTags(const tensor::Tensor& scores,
+                                             const models::EncodedBatch& batch);
 
 }  // namespace fewner::meta

@@ -12,10 +12,6 @@ using tensor::Shape;
 using tensor::Tensor;
 
 namespace {
-/// Stream id of the standalone (non-lane) dropout stream, kept clear of the
-/// (call << 32) | lane ids ForkLaneRngs hands to batch lanes.
-constexpr uint64_t kStandaloneDropoutStream = ~0ull;
-
 /// Contiguous lane runs with bounded padding: a run closes before a lane that
 /// would stretch its max/min length ratio beyond 2.  Per-lane batched results
 /// are bitwise lane-independent (DESIGN.md §7), so any partition computes
@@ -73,8 +69,7 @@ EncodedBatch SubBatch(const EncodedBatch& batch, int64_t begin, int64_t count) {
 Backbone::Backbone(const BackboneConfig& config, util::Rng* rng)
     : config_(config),
       dropout_base_(rng->Fork(0xD409u)),
-      dropout_episode_(dropout_base_.Fork(0)),
-      dropout_rng_(dropout_episode_.Fork(kStandaloneDropoutStream)) {
+      dropout_episode_(dropout_base_.Fork(0)) {
   FEWNER_CHECK(config.word_vocab_size > 0, "backbone needs a word vocabulary");
   word_embedding_ =
       std::make_unique<nn::Embedding>(config.word_vocab_size, config.word_dim, rng);
@@ -120,7 +115,6 @@ Backbone::Backbone(const BackboneConfig& config, util::Rng* rng)
 void Backbone::ReseedDropout(uint64_t stream) {
   dropout_episode_ = dropout_base_.Fork(stream);
   dropout_call_ = 0;
-  dropout_rng_ = dropout_episode_.Fork(kStandaloneDropoutStream);
 }
 
 std::vector<util::Rng> Backbone::ForkLaneRngs(size_t lanes) const {
@@ -274,12 +268,14 @@ void Backbone::ForEachRun(const EncodedBatch* batch, const CachedPrefix* prefix,
       into->runs.push_back({run == &sub ? std::move(sub) : *run, features});
       continue;
     }
-    Tensor hidden3 = SuffixStage(*run, features, phi, run_rngs);
-    Tensor emissions2 = emission_->Forward(tensor::Reshape(
-        hidden3, Shape{count * run->max_len, 2 * config_.hidden_dim}));
-    consume(*run, tensor::Reshape(emissions2,
-                                  Shape{count, run->max_len, config_.max_tags}));
+    consume(*run, SuffixStage(*run, features, phi, run_rngs));
   }
+}
+
+Tensor Backbone::Emissions(const EncodedBatch& run, const Tensor& hidden) const {
+  Tensor emissions2 = emission_->Forward(tensor::Reshape(
+      hidden, Shape{run.batch * run.max_len, 2 * config_.hidden_dim}));
+  return tensor::Reshape(emissions2, Shape{run.batch, run.max_len, config_.max_tags});
 }
 
 Tensor Backbone::RunsLoss(const EncodedBatch* batch, const CachedPrefix* prefix,
@@ -289,9 +285,9 @@ Tensor Backbone::RunsLoss(const EncodedBatch* batch, const CachedPrefix* prefix,
   FEWNER_CHECK(lanes > 0, "BatchLoss on empty batch");
   std::vector<Tensor> per_run;
   ForEachRun(batch, prefix, phi, ForkLaneRngs(static_cast<size_t>(lanes)),
-             [&](const EncodedBatch& run, const Tensor& emissions) {
+             [&](const EncodedBatch& run, const Tensor& hidden) {
                per_run.push_back(crf_->NegLogLikelihoodBatch(
-                   emissions, run.tags, run.lengths, &valid_tags));
+                   Emissions(run, hidden), run.tags, run.lengths, &valid_tags));
              });
   // Runs are contiguous and ascending, so the concatenated lane NLLs sit in
   // batch order; SumAllFloat folds them with the same left-associated scalar
@@ -310,10 +306,11 @@ std::vector<std::vector<int64_t>> Backbone::RunsDecode(
   std::vector<std::vector<int64_t>> paths;
   paths.reserve(static_cast<size_t>(lanes));
   ForEachRun(batch, prefix, phi, ForkLaneRngs(static_cast<size_t>(lanes)),
-             [&](const EncodedBatch& run, const Tensor& emissions) {
+             [&](const EncodedBatch& run, const Tensor& hidden) {
                // Cut the decode out of a live autodiff graph; under EvalMode
                // no graph was built, so the copy would only burn an
                // allocation.
+               const Tensor emissions = Emissions(run, hidden);
                std::vector<std::vector<int64_t>> run_paths = crf_->ViterbiBatch(
                    tensor::EvalMode::active() ? emissions : emissions.Detach(),
                    run.lengths, &valid_tags);
@@ -322,14 +319,23 @@ std::vector<std::vector<int64_t>> Backbone::RunsDecode(
   return paths;
 }
 
-Tensor Backbone::Encode(const EncodedSentence& sentence, const Tensor& phi) const {
-  FEWNER_CHECK(sentence.length() > 0, "Encode on empty sentence");
-  // B=1 through both stages, continuing the standalone member dropout stream.
-  const EncodedBatch single = PackBatch({sentence});
-  const std::vector<util::Rng*> rngs = {&dropout_rng_};
-  Tensor encoded = SuffixStage(single, PrefixStage(single, rngs), phi, rngs);
-  return tensor::Reshape(encoded,
-                         Shape{sentence.length(), 2 * config_.hidden_dim});
+Tensor Backbone::TokenFeatures(const EncodedBatch& batch, const Tensor& phi) const {
+  FEWNER_CHECK(batch.batch > 0, "TokenFeatures on empty batch");
+  const int64_t width = 2 * config_.hidden_dim;
+  std::vector<Tensor> per_run;
+  ForEachRun(&batch, nullptr, phi, ForkLaneRngs(static_cast<size_t>(batch.batch)),
+             [&](const EncodedBatch& run, const Tensor& hidden) {
+               Tensor rows = tensor::Reshape(hidden, Shape{run.flat_size(), width});
+               std::vector<int64_t> real;  // lane-major real-token rows
+               for (int64_t b = 0; b < run.batch; ++b) {
+                 for (int64_t t = 0; t < run.lengths[static_cast<size_t>(b)]; ++t) {
+                   real.push_back(b * run.max_len + t);
+                 }
+               }
+               const bool padded = static_cast<int64_t>(real.size()) < run.flat_size();
+               per_run.push_back(padded ? tensor::IndexSelectRows(rows, real) : rows);
+             });
+  return per_run.size() == 1 ? per_run.front() : tensor::Concat(per_run, 0);
 }
 
 Tensor Backbone::BatchLoss(const std::vector<EncodedSentence>& sentences,
@@ -350,9 +356,9 @@ Tensor Backbone::BatchLoss(const std::vector<EncodedSentence>& sentences,
     FEWNER_CHECK(sentence.length() > 0, "BatchLoss on empty sentence");
     const EncodedBatch single = PackBatch({sentence});
     ForEachRun(&single, nullptr, phi, {lane_rngs[i]},
-               [&](const EncodedBatch&, const Tensor& emissions) {
+               [&](const EncodedBatch& run, const Tensor& hidden) {
                  Tensor loss = crf_->NegLogLikelihood(
-                     tensor::Reshape(emissions,
+                     tensor::Reshape(Emissions(run, hidden),
                                      Shape{sentence.length(), config_.max_tags}),
                      sentence.tags, &valid_tags);
                  total = total.defined() ? tensor::Add(total, loss) : loss;
@@ -440,8 +446,8 @@ Tensor Backbone::EmissionsFromPrefix(const CachedPrefix& prefix,
   std::vector<Tensor> per_run;
   per_run.reserve(prefix.runs.size());
   ForEachRun(nullptr, &prefix, phi, ForkLaneRngs(static_cast<size_t>(prefix.batch)),
-             [&](const EncodedBatch& run, const Tensor& emissions) {
-               Tensor em = emissions;
+             [&](const EncodedBatch& run, const Tensor& hidden) {
+               Tensor em = Emissions(run, hidden);
                if (run.max_len < prefix.max_len) {
                  // Re-pad to the whole-batch Lmax; padding rows are zeros.
                  em = tensor::Concat(

@@ -96,19 +96,21 @@ class Backbone : public nn::Module {
  public:
   Backbone(const BackboneConfig& config, util::Rng* rng);
 
-  /// Context-encoded token features [L, 2H]; φ must be defined iff the
-  /// conditioning mode uses it (pass ZeroContext() when in doubt).  The prefix
-  /// stage then the suffix stage on a B=1 batch, drawing dropout from the
-  /// standalone member stream.
-  tensor::Tensor Encode(const EncodedSentence& sentence,
-                        const tensor::Tensor& phi) const;
+  /// Context-encoded features of every real token, [T, 2H] with T =
+  /// Σ lengths: lane 0's rows, then lane 1's, and so on, padding dropped.
+  /// The same LaneRuns loop and per-lane (episode, call, lane) dropout
+  /// streams as BatchLoss, stopping before the emission linear; φ must be
+  /// defined iff the conditioning mode uses it.  The encoder entry of the
+  /// token classifiers (ProtoNet, MatchingNet, SNAIL).
+  tensor::Tensor TokenFeatures(const EncodedBatch& batch,
+                               const tensor::Tensor& phi) const;
 
   /// Summed NLL over a set of sentences (the task loss L_T of Eq. 5/6;
-  /// the paper defines L = -Σ p(y|h)), one B=1 pass and one single-sentence
-  /// CRF NLL per sentence — the per-lane reference the batched overload is
-  /// pinned against.  Sentence i draws dropout from the per-lane stream
-  /// (episode, call, lane i) — the same stream the batched overload gives
-  /// lane i — so the two overloads are bitwise-interchangeable.
+  /// the paper defines L = -Σ p(y|h)), one B=1 batch per sentence — the
+  /// per-lane reference the batched overload is pinned against.  Sentence i
+  /// draws dropout from the per-lane stream (episode, call, lane i) — the
+  /// same stream the batched overload gives lane i — so the two overloads are
+  /// bitwise-interchangeable.
   tensor::Tensor BatchLoss(const std::vector<EncodedSentence>& sentences,
                            const tensor::Tensor& phi,
                            const std::vector<bool>& valid_tags) const;
@@ -206,13 +208,12 @@ class Backbone : public nn::Module {
   tensor::Tensor Recur(const tensor::Tensor& x,
                        const std::vector<int64_t>& lengths) const;
 
-  /// Receives one run's lanes and emissions [count, run_max_len, max_tags].
+  /// Receives one run's lanes and suffix output [count, run_max_len, 2H].
   using RunConsumer =
-      std::function<void(const EncodedBatch& run, const tensor::Tensor& emissions)>;
+      std::function<void(const EncodedBatch& run, const tensor::Tensor& hidden)>;
 
   /// The one LaneRuns loop every entry point shares: for each contiguous lane
-  /// run, in ascending lane order, the suffix stage then the emission linear,
-  /// handed to `consume`.  Run features come from `prefix` when it is
+  /// run, in ascending lane order, the suffix stage, handed to `consume`.  Run features come from `prefix` when it is
   /// non-null (cached: CheckPrefix'd, the prefix stage is skipped), otherwise
   /// from the prefix stage over `batch`'s LaneRuns partition, run by run.
   /// `lane_rngs[b]` supplies lane b's dropout draws (ForkLaneRngs).  With
@@ -221,6 +222,10 @@ class Backbone : public nn::Module {
   void ForEachRun(const EncodedBatch* batch, const CachedPrefix* prefix,
                   const tensor::Tensor& phi, std::vector<util::Rng> lane_rngs,
                   const RunConsumer& consume, CachedPrefix* into = nullptr) const;
+
+  /// Emission scores [count, run_max_len, max_tags] of one run's suffix
+  /// output.
+  tensor::Tensor Emissions(const EncodedBatch& run, const tensor::Tensor& hidden) const;
 
   /// Task loss and Viterbi decode over ForEachRun, shared by the uncached
   /// and cached entry points.
@@ -260,8 +265,7 @@ class Backbone : public nn::Module {
   std::unique_ptr<crf::LinearChainCrf> crf_;
   util::Rng dropout_base_;
   mutable util::Rng dropout_episode_;  ///< episode fork; lane streams hang off it
-  mutable uint64_t dropout_call_ = 0;  ///< BatchLoss calls since ReseedDropout
-  mutable util::Rng dropout_rng_;      ///< standalone (non-lane) stream
+  mutable uint64_t dropout_call_ = 0;  ///< ForkLaneRngs calls since ReseedDropout
 };
 
 }  // namespace fewner::models

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -169,33 +170,32 @@ TEST_F(CrfTest, GradCheckTransitions) {
   }
 }
 
-TEST_F(CrfTest, HoistedRecursionMatchesPerTimestepTransposeBitwise) {
-  // The forward algorithm now hoists transitionsᵀ out of the time loop and
-  // builds by_to[j, i] = alpha[i] + transitions[i, j] directly in [to, from]
-  // layout.  This test reconstructs the previous formulation — alpha broadcast
-  // down the columns of transitions followed by a materialized [Y, Y]
-  // Transpose every timestep — and requires the NLL *and* every parameter
-  // gradient to be bitwise-identical, not merely close.
-  const int64_t y = 3;
-  const int64_t length = 4;
-  const std::vector<int64_t> gold = {1, 0, 2, 1};
-  Tensor trans = *crf_->Parameters()[0];
-  Tensor start = *crf_->Parameters()[1];
-  Tensor end = *crf_->Parameters()[2];
-
-  Tensor nll_new = crf_->NegLogLikelihood(emissions_, gold);
-  auto g_new = tensor::autodiff::Grad(nll_new, {emissions_, trans, start, end});
-
-  // Old formulation, reconstructed op-for-op (ValidityMask with no mask is a
-  // broadcast add of zeros, reproduced literally to keep the graphs aligned).
-  Tensor masked = tensor::Add(
-      emissions_, Tensor::FromData(Shape{y}, std::vector<float>(y, 0.0f)));
+/// The single-sentence NLL over emissions [L, Y], built op for op from
+/// tensor primitives: invalid tags crushed by a -1e7 additive mask (a zero
+/// mask without `valid`), the log-space forward algorithm over [to, from]
+/// scores (alpha plus a transitionsᵀ hoisted out of the time loop), and the
+/// gold path scored through constant selection masks.  The library keeps only
+/// the batched recursion; this is the independent reference it is pinned
+/// against.  The transpose is hoisted because a per-timestep
+/// Transpose(alpha column + transitions) — the textbook layout — gives the
+/// same NLL but sums the transitions gradient in a different order, which
+/// differs in the last bits from L = 4 on.
+Tensor SingleSentenceNll(const Tensor& emissions, const std::vector<int64_t>& gold,
+                   const std::vector<bool>* valid, const Tensor& trans,
+                   const Tensor& start, const Tensor& end) {
+  const int64_t length = emissions.shape().dim(0);
+  const int64_t y = emissions.shape().dim(1);
+  std::vector<float> crush(static_cast<size_t>(y), 0.0f);
+  for (int64_t j = 0; valid != nullptr && j < y; ++j) {
+    if (!(*valid)[static_cast<size_t>(j)]) crush[static_cast<size_t>(j)] = -1e7f;
+  }
+  Tensor masked = tensor::Add(emissions, Tensor::FromData(Shape{y}, std::move(crush)));
   Tensor alpha = tensor::Add(tensor::Reshape(start, Shape{1, y}),
                              tensor::Slice(masked, 0, 0, 1));
+  Tensor trans_by_to = tensor::Transpose(trans);  // [to, from]
   for (int64_t t = 1; t < length; ++t) {
-    Tensor scores = tensor::Add(tensor::Reshape(alpha, Shape{y, 1}), trans);
-    Tensor lse = tensor::Reshape(
-        tensor::LogSumExpLastDim(tensor::Transpose(scores)), Shape{1, y});
+    Tensor by_to = tensor::Add(tensor::Reshape(alpha, Shape{y}), trans_by_to);
+    Tensor lse = tensor::Reshape(tensor::LogSumExpLastDim(by_to), Shape{1, y});
     alpha = tensor::Add(lse, tensor::Slice(masked, 0, t, 1));
   }
   Tensor log_z = tensor::Reshape(
@@ -217,28 +217,144 @@ TEST_F(CrfTest, HoistedRecursionMatchesPerTimestepTransposeBitwise) {
   Tensor gold_score = tensor::Add(
       tensor::Add(
           tensor::SumAll(tensor::Mul(
-              masked,
-              Tensor::FromData(Shape{length, y}, std::move(emit_mask)))),
+              masked, Tensor::FromData(Shape{length, y}, std::move(emit_mask)))),
           tensor::SumAll(tensor::Mul(
               trans, Tensor::FromData(Shape{y, y}, std::move(trans_count))))),
-      tensor::Add(
-          tensor::SumAll(tensor::Mul(
-              start, Tensor::FromData(Shape{y}, std::move(start_mask)))),
-          tensor::SumAll(tensor::Mul(
-              end, Tensor::FromData(Shape{y}, std::move(end_mask))))));
-  Tensor nll_old = tensor::Sub(log_z, gold_score);
-  auto g_old = tensor::autodiff::Grad(nll_old, {emissions_, trans, start, end});
+      tensor::Add(tensor::SumAll(tensor::Mul(
+                      start, Tensor::FromData(Shape{y}, std::move(start_mask)))),
+                  tensor::SumAll(tensor::Mul(
+                      end, Tensor::FromData(Shape{y}, std::move(end_mask))))));
+  return tensor::Sub(log_z, gold_score);
+}
 
-  ASSERT_EQ(std::memcmp(nll_new.data().data(), nll_old.data().data(),
-                        sizeof(float)),
-            0);
-  for (size_t i = 0; i < g_new.size(); ++i) {
-    ASSERT_EQ(g_new[i].numel(), g_old[i].numel());
-    EXPECT_EQ(std::memcmp(g_new[i].data().data(), g_old[i].data().data(),
-                          static_cast<size_t>(g_new[i].numel()) * sizeof(float)),
-              0)
-        << "gradient " << i << " diverges from the per-timestep-transpose path";
+bool SameBits(const float* a, const float* b, size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+TEST_F(CrfTest, BatchedLanesMatchSingleSentenceRecursionBitwise) {
+  // The library's only NLL recursion is NegLogLikelihoodBatch: [B, to, from]
+  // scores per timestep, finished lanes carried through a Where select, gold
+  // scores summed per lane with RowSum (NegLogLikelihood is its B=1 case).  A
+  // seeded sweep — L ∈ 1..12, Y ∈ 3..11, with and without a valid-tag mask,
+  // B=1 batches and ragged B>1 batches with random padding — requires every
+  // lane's NLL and its emissions/transitions/start/end gradients to be
+  // bitwise-identical to SingleSentenceNll on that lane alone, and padding
+  // and other lanes to get exactly zero emissions gradient.  One exception:
+  // a length-1 lane's transitions gradient is zero on both sides, but the
+  // two graphs may produce different signs of zero, so it is compared by
+  // value.
+  int64_t lanes_checked = 0;
+  auto check_batch = [&](const LinearChainCrf& crf, const std::vector<int64_t>& lengths,
+                         const std::vector<bool>* valid, util::Rng* rng) {
+    const int64_t y = crf.num_tags();
+    const auto lanes = static_cast<int64_t>(lengths.size());
+    const int64_t max_len = *std::max_element(lengths.begin(), lengths.end());
+    std::vector<int64_t> valid_ids;
+    for (int64_t j = 0; j < y; ++j) {
+      if (valid == nullptr || (*valid)[static_cast<size_t>(j)]) valid_ids.push_back(j);
+    }
+    // Padding rows hold random scores too: they must not leak into any lane.
+    Tensor emissions = Tensor::Randn(Shape{lanes, max_len, y}, rng, 1.0f,
+                                     /*requires_grad=*/true);
+    std::vector<int64_t> tags(static_cast<size_t>(lanes * max_len), 0);
+    for (int64_t b = 0; b < lanes; ++b) {
+      for (int64_t t = 0; t < lengths[static_cast<size_t>(b)]; ++t) {
+        tags[static_cast<size_t>(b * max_len + t)] = valid_ids[rng->UniformInt(
+            static_cast<uint64_t>(valid_ids.size()))];
+      }
+    }
+    auto params = const_cast<LinearChainCrf&>(crf).Parameters();
+    const Tensor trans = *params[0];
+    const Tensor start = *params[1];
+    const Tensor end = *params[2];
+    Tensor nll = crf.NegLogLikelihoodBatch(emissions, tags, lengths, valid);
+    for (int64_t b = 0; b < lanes; ++b) {
+      const int64_t len = lengths[static_cast<size_t>(b)];
+      SCOPED_TRACE(::testing::Message() << "Y=" << y << " B=" << lanes << " lane "
+                                        << b << " L=" << len
+                                        << (valid != nullptr ? " masked" : ""));
+      auto g_batch = tensor::autodiff::Grad(
+          tensor::Reshape(tensor::Slice(nll, 0, b, 1), Shape{}),
+          {emissions, trans, start, end});
+
+      const float* lane_rows = emissions.data().data() + b * max_len * y;
+      Tensor lane = Tensor::FromData(
+          Shape{len, y}, std::vector<float>(lane_rows, lane_rows + len * y),
+          /*requires_grad=*/true);
+      const std::vector<int64_t> gold(tags.begin() + b * max_len,
+                                      tags.begin() + b * max_len + len);
+      Tensor reference = SingleSentenceNll(lane, gold, valid, trans, start, end);
+      auto g_ref = tensor::autodiff::Grad(reference, {lane, trans, start, end});
+
+      ASSERT_TRUE(SameBits(nll.data().data() + b, reference.data().data(), 1))
+          << nll.at(b) << " vs " << reference.item();
+      const float* g_emit = g_batch[0].data().data();
+      EXPECT_TRUE(SameBits(g_emit + b * max_len * y, g_ref[0].data().data(),
+                           static_cast<size_t>(len * y)))
+          << "emissions gradient";
+      for (int64_t i = 0; i < lanes * max_len * y; ++i) {
+        const int64_t lane_of = i / (max_len * y);
+        const int64_t t = (i / y) % max_len;
+        if (lane_of != b || t >= len) {
+          ASSERT_EQ(g_emit[i], 0.0f) << "gradient leaked to flat row " << i / y;
+        }
+      }
+      if (len == 1) {
+        EXPECT_EQ(g_batch[1].data(), g_ref[1].data()) << "transitions gradient";
+      } else {
+        EXPECT_TRUE(SameBits(g_batch[1].data().data(), g_ref[1].data().data(),
+                             static_cast<size_t>(y * y)))
+            << "transitions gradient";
+      }
+      EXPECT_TRUE(SameBits(g_batch[2].data().data(), g_ref[2].data().data(),
+                           static_cast<size_t>(y)))
+          << "start gradient";
+      EXPECT_TRUE(SameBits(g_batch[3].data().data(), g_ref[3].data().data(),
+                           static_cast<size_t>(y)))
+          << "end gradient";
+      ++lanes_checked;
+    }
+  };
+
+  // The fixture's instance through the single-sentence entry point first.
+  {
+    const std::vector<int64_t> gold = {1, 0, 2, 1};
+    auto params = crf_->Parameters();
+    Tensor nll = crf_->NegLogLikelihood(emissions_, gold);
+    Tensor reference =
+        SingleSentenceNll(emissions_, gold, nullptr, *params[0], *params[1], *params[2]);
+    ASSERT_TRUE(SameBits(nll.data().data(), reference.data().data(), 1));
+    auto g_nll = tensor::autodiff::Grad(nll, {emissions_, *params[0], *params[1],
+                                              *params[2]});
+    auto g_ref = tensor::autodiff::Grad(reference, {emissions_, *params[0],
+                                                    *params[1], *params[2]});
+    for (size_t i = 0; i < g_nll.size(); ++i) {
+      EXPECT_TRUE(SameBits(g_nll[i].data().data(), g_ref[i].data().data(),
+                           static_cast<size_t>(g_nll[i].numel())))
+          << "gradient " << i;
+    }
   }
+
+  util::Rng rng(20240611);
+  for (int64_t y = 3; y <= 11; ++y) {
+    LinearChainCrf crf(y);
+    for (Tensor* p : crf.Parameters()) {
+      for (float& v : *p->mutable_data()) v = static_cast<float>(rng.Gaussian(0.0, 0.7));
+    }
+    // Tag 0 (O) is always valid, as in every episode; the rest are a coin toss.
+    std::vector<bool> mask(static_cast<size_t>(y), true);
+    for (int64_t j = 1; j < y; ++j) mask[static_cast<size_t>(j)] = rng.Uniform() < 0.6;
+    for (const std::vector<bool>* valid : {static_cast<const std::vector<bool>*>(nullptr),
+                                           static_cast<const std::vector<bool>*>(&mask)}) {
+      for (int64_t len = 1; len <= 12; ++len) check_batch(crf, {len}, valid, &rng);
+      for (int rep = 0; rep < 3; ++rep) {
+        std::vector<int64_t> lengths(2 + rng.UniformInt(4));
+        for (int64_t& len : lengths) len = 1 + static_cast<int64_t>(rng.UniformInt(12));
+        check_batch(crf, lengths, valid, &rng);
+      }
+    }
+  }
+  EXPECT_GT(lanes_checked, 9 * 2 * 12);
 }
 
 TEST_F(CrfTest, TrainingOnFixedPatternLearnsIt) {

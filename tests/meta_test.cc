@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -14,6 +15,7 @@
 #include "meta/grad_accumulator.h"
 #include "meta/lm_tagger.h"
 #include "meta/maml.h"
+#include "meta/matching_net.h"
 #include "meta/protonet.h"
 #include "meta/snail.h"
 #include "models/lm_encoder.h"
@@ -397,6 +399,39 @@ TEST_F(MetaTest, MethodsShareEvaluationEpisodes) {
   data::Episode b = sampler_->Sample(42);
   EXPECT_EQ(a.types, b.types);
   EXPECT_EQ(a.support, b.support);
+}
+
+TEST_F(MetaTest, TokenClassifiersTagEachQuerySentenceAsInAGroup) {
+  // ProtoNet, MatchingNet and SNAIL encode a whole query set as one padded,
+  // length-bucketed batch.  In eval mode every lane must be independent of
+  // its neighbours: tagging the set at once gives exactly the tags of
+  // tagging each sentence alone against the same support set.
+  util::Rng rng(1);
+  ProtoNet protonet(config_, &rng);
+  MatchingNet matching(config_, &rng);
+  Snail snail(config_, &rng);
+  std::vector<FewShotMethod*> methods = {&protonet, &matching, &snail};
+  int64_t split_sets = 0;
+  for (FewShotMethod* method : methods) {
+    method->Train(*sampler_, *encoder_, train_config_);
+    for (uint64_t id = 100; id < 106; ++id) {
+      models::EncodedEpisode episode = encoder_->Encode(sampler_->Sample(id));
+      ASSERT_GT(episode.query.size(), 1u);
+      const std::vector<std::vector<int64_t>> grouped = method->AdaptAndPredict(episode);
+      ASSERT_EQ(grouped.size(), episode.query.size());
+      const std::vector<models::EncodedSentence> query = episode.query;
+      int64_t shortest = query.front().length(), longest = shortest;
+      for (size_t q = 0; q < query.size(); ++q) {
+        shortest = std::min(shortest, query[q].length());
+        longest = std::max(longest, query[q].length());
+        episode.query = {query[q]};
+        EXPECT_EQ(method->AdaptAndPredict(episode).front(), grouped[q])
+            << method->name() << " episode " << id << " query sentence " << q;
+      }
+      if (longest > 2 * shortest) ++split_sets;  // several lane runs
+    }
+  }
+  EXPECT_GT(split_sets, 0) << "no query set split into several lane runs";
 }
 
 }  // namespace

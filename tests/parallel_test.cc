@@ -19,12 +19,14 @@
 #include "meta/fewner.h"
 #include "meta/finetune.h"
 #include "meta/grad_accumulator.h"
+#include "meta/lm_tagger.h"
 #include "meta/maml.h"
 #include "meta/matching_net.h"
 #include "meta/parallel.h"
 #include "meta/protonet.h"
 #include "meta/reptile.h"
 #include "meta/snail.h"
+#include "models/lm_encoder.h"
 #include "tensor/autodiff.h"
 #include "tensor/intraop.h"
 #include "tensor/ops.h"
@@ -100,13 +102,31 @@ class ParallelTest : public ::testing::Test {
                                                 int64_t iterations) const {
     config.iterations = iterations;
     util::Rng rng(1);
-    Method method(config_, &rng);
-    method.Train(*sampler_, *encoder_, config);
-    if constexpr (std::is_same_v<Method, Snail>) {
-      return nn::SnapshotParameterValues(method.model());
+    if constexpr (std::is_same_v<Method, LmCrfTagger>) {
+      LmCrfTagger method(SmallLm(&rng), config_.max_tags, &rng);
+      method.Train(*sampler_, *encoder_, config);
+      return nn::SnapshotParameterValues(method.head());
     } else {
-      return nn::SnapshotParameterValues(method.backbone());
+      Method method(config_, &rng);
+      method.Train(*sampler_, *encoder_, config);
+      if constexpr (std::is_same_v<Method, Snail>) {
+        return nn::SnapshotParameterValues(method.model());
+      } else {
+        return nn::SnapshotParameterValues(method.backbone());
+      }
     }
+  }
+
+  /// A small GPT-2-style frozen encoder for the LM-CRF baseline (untrained:
+  /// the head's training loop is what these tests exercise).
+  std::shared_ptr<models::PretrainedLmEncoder> SmallLm(util::Rng* rng) const {
+    models::LmConfig lm_config;
+    lm_config.model_dim = 12;
+    lm_config.num_layers = 1;
+    lm_config.ffn_dim = 16;
+    lm_config.gru_hidden = 8;
+    return std::make_shared<models::PretrainedLmEncoder>(
+        models::LmKind::kGpt2, lm_config, &words_, &chars_, rng);
   }
 
   TrainConfig WithThreads(int64_t threads) const {
@@ -220,6 +240,7 @@ TEST_F(ParallelTest, LrDecayReachesEveryAdamTrainedMethod) {
            [&](int64_t n) { return TrainedValues<MatchingNet>(config, n); }},
           {"SNAIL", [&](int64_t n) { return TrainedValues<Snail>(config, n); }},
           {"FineTune", [&](int64_t n) { return TrainedValues<FineTune>(config, n); }},
+          {"GPT2", [&](int64_t n) { return TrainedValues<LmCrfTagger>(config, n); }},
       };
   for (const auto& [name, values_after] : methods) {
     const std::vector<std::vector<float>> one = values_after(1);
@@ -232,6 +253,29 @@ TEST_F(ParallelTest, LrDecayReachesEveryAdamTrainedMethod) {
           << name << " slot " << i << " moved after the learning rate decayed to 0";
     }
   }
+}
+
+TEST_F(ParallelTest, IterationCallbackFiresForEveryTrainingLoop) {
+  // callback_every 2 over 5 iterations: iterations 1, 3 and the last (4), the
+  // same schedule for the shared outer loop and the LM-CRF baselines' own
+  // per-episode loop.
+  TrainConfig config = WithThreads(1);
+  config.iterations = 5;
+  config.meta_batch = 2;
+  config.callback_every = 2;
+  std::vector<int64_t> seen;
+  config.iteration_callback = [&seen](int64_t it) { seen.push_back(it); };
+  const std::vector<int64_t> expected = {1, 3, 4};
+
+  util::Rng rng(1);
+  LmCrfTagger tagger(SmallLm(&rng), config_.max_tags, &rng);
+  tagger.Train(*sampler_, *encoder_, config);
+  EXPECT_EQ(seen, expected) << "LM-CRF";
+
+  seen.clear();
+  ProtoNet protonet(config_, &rng);
+  protonet.Train(*sampler_, *encoder_, config);
+  EXPECT_EQ(seen, expected) << "ProtoNet";
 }
 
 // ------------------------------------------------ reduction-level parity
