@@ -48,7 +48,7 @@ class WorkspaceArena {
   size_t pool_size() const { return pool_.size(); }
 
   /// Lifetime counters: how many Acquire() calls recycled a node vs. grew the
-  /// pool.  Diagnostics for tests and the throughput bench.
+  /// pool.  Diagnostics for tests.
   uint64_t reuse_count() const { return reuses_; }
   uint64_t alloc_count() const { return allocs_; }
 

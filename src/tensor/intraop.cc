@@ -66,20 +66,26 @@ class SlabLatch {
   int64_t remaining_;
 };
 
-bool ShouldShard(int64_t m, int64_t k, int64_t n) {
-  if (ParallelismBudget::current() <= 1) return false;
-  if (m < 2 * kMinSlabRows) return false;
-  return m * k * n >= kFlopThreshold;
-}
-
-/// Partitions [0, m) into contiguous row slabs (sizes differing by at most
-/// one row) and runs `slab(row0, rows)` once per slab, each on exactly one
-/// thread.  The caller runs slab 0 inline; the rest go to the shared pool.
+/// The one GEMM dispatcher: c = op(A)·b through SerialGemm<kA>.  Small GEMMs
+/// run serially.  Otherwise [0, m) is partitioned into contiguous row slabs
+/// (sizes differing by at most one row) and each slab runs once, on exactly
+/// one thread: the caller runs slab 0 inline, the rest go to the shared pool.
 /// The partition cannot affect results: each output element keeps its own
-/// single ascending-k accumulator no matter which slab computes it.
-template <typename SlabFn>
-void ShardRows(int64_t m, const SlabFn& slab) {
+/// single ascending-k accumulator no matter which slab computes it.  A slab's
+/// C rows start at ARowOffset in `a` and keep the full lda, so no copy is made
+/// for either layout.
+template <kernel::ALayout kA>
+void Dispatch(const float* a, int64_t lda, const float* b, float* c, int64_t m,
+              int64_t k, int64_t n) {
   const int64_t budget = ParallelismBudget::current();
+  if (budget <= 1 || m < 2 * kMinSlabRows || m * k * n < kFlopThreshold) {
+    kernel::SerialGemm<kA>(a, lda, b, c, m, k, n);
+    return;
+  }
+  const auto slab = [=](int64_t row0, int64_t rows) {
+    kernel::SerialGemm<kA>(a + kernel::ARowOffset<kA>(row0, lda), lda, b,
+                           c + row0 * n, rows, k, n);
+  };
   const int64_t slabs = std::min(budget, m / kMinSlabRows);
   const int64_t base = m / slabs;
   const int64_t extra = m % slabs;
@@ -116,41 +122,21 @@ namespace kernel {
 
 void GemmNN(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n) {
-  if (!ShouldShard(m, k, n)) {
-    MatMulBlocked(a, b, c, m, k, n);
-    return;
-  }
-  ShardRows(m, [=](int64_t row0, int64_t rows) {
-    MatMulBlocked(a + row0 * k, b, c + row0 * n, rows, k, n);
-  });
+  Dispatch<ALayout::kRowMajor>(a, k, b, c, m, k, n);
 }
 
 void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n) {
-  if (!ShouldShard(m, k, n)) {
-    MatMulNT(a, b, c, m, k, n);
-    return;
-  }
   // Pack bᵀ once on the dispatching thread; slabs read it concurrently
   // (publication ordered by the pool's queue mutex, lifetime by the latch).
   float* bt = TransposeScratch(k * n);
-  PackTranspose(b, bt, n, k);
-  ShardRows(m, [=](int64_t row0, int64_t rows) {
-    MatMulBlocked(a + row0 * k, bt, c + row0 * n, rows, k, n);
-  });
+  PackTranspose(b, bt, n, k);  // b [n, k] -> bt [k, n]
+  Dispatch<ALayout::kRowMajor>(a, k, bt, c, m, k, n);
 }
 
 void GemmTN(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n) {
-  if (!ShouldShard(m, k, n)) {
-    MatMulTN(a, b, c, m, k, n);
-    return;
-  }
-  // A slab's C rows are a column block of `a`: offset into the row, keep the
-  // full row stride.
-  ShardRows(m, [=](int64_t row0, int64_t rows) {
-    MatMulTN(a + row0, b, c + row0 * n, rows, k, n, /*lda=*/m);
-  });
+  Dispatch<ALayout::kColMajor>(a, m, b, c, m, k, n);
 }
 
 }  // namespace kernel

@@ -1,10 +1,10 @@
 // Deterministic intra-op parallelism for the GEMM layer.
 //
-// The Gemm* entry points front the matmul kernels with a row-sharded parallel
+// The Gemm* entry points front the matmul kernel with a row-sharded parallel
 // dispatch: C's rows are partitioned into disjoint contiguous slabs, each
 // computed by exactly one thread running the ordinary serial kernel over its
 // range.  Because every output element is owned by a single slab and the
-// kernels accumulate each element on a single ascending-k chain (see
+// kernel accumulates each element on a single ascending-k chain (see
 // matmul_kernel.h), the result is bitwise-identical for ANY thread count,
 // including 1 — the partition changes which thread runs a given element's
 // loop, never the loop itself.  There is no reduction and no shared write:
@@ -54,17 +54,21 @@ class ParallelismBudget {
 
 namespace kernel {
 
-/// c[m, n] = a[m, k] * b[k, n] — MatMulBlocked, row-sharded when profitable.
+// The three layouts share one dispatcher over the one serial kernel
+// (matmul_kernel.h): each entry is row-sharded when profitable, and the
+// sharded result is bitwise the serial one.
+
+/// c[m, n] = a[m, k] * b[k, n].
 void GemmNN(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n);
 
-/// c[m, n] = a[m, k] * b[n, k]ᵀ — MatMulNT; under sharding, bᵀ is packed
-/// once by the caller and the blocked core is sharded over the pack.
+/// c[m, n] = a[m, k] * b[n, k]ᵀ — bᵀ is packed once on the calling thread,
+/// then the row-major kernel runs over the pack.
 void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n);
 
-/// c[m, n] = a[k, m]ᵀ * b[k, n] — MatMulTN; slabs address a column block of
-/// `a` via its leading dimension, so no copy is made in either mode.
+/// c[m, n] = a[k, m]ᵀ * b[k, n] — the column-major kernel reads `a` in place;
+/// a slab addresses a column block of `a` through its leading dimension.
 void GemmTN(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n);
 

@@ -25,16 +25,26 @@ namespace {
 constexpr int64_t kRowTile = 4;  ///< A rows per register block
 constexpr int64_t kColTile = 8;  ///< C columns per register block (2 SSE lanes)
 
+/// Element (i, kk) of op(A).
+template <ALayout kA>
+inline float AAt(const float* a, int64_t lda, int64_t i, int64_t kk) {
+  if constexpr (kA == ALayout::kRowMajor) {
+    return a[i * lda + kk];
+  } else {
+    return a[kk * lda + i];
+  }
+}
+
 /// One MI x kColTile output block: accumulators live in registers across the
 /// whole k loop; each B row is loaded once and reused by all MI A rows.
-template <int MI>
-inline void MicroTile(const float* a, const float* b, float* c, int64_t k,
-                      int64_t n, int64_t j0) {
+template <ALayout kA, int MI>
+inline void MicroTile(const float* a, int64_t lda, const float* b, float* c,
+                      int64_t k, int64_t n, int64_t j0) {
   float acc[MI][kColTile] = {};
   for (int64_t kk = 0; kk < k; ++kk) {
     const float* brow = b + kk * n + j0;
     for (int ii = 0; ii < MI; ++ii) {
-      const float aik = a[ii * k + kk];
+      const float aik = AAt<kA>(a, lda, ii, kk);
       FEWNER_SIMD
       for (int jj = 0; jj < kColTile; ++jj) acc[ii][jj] += aik * brow[jj];
     }
@@ -47,125 +57,60 @@ inline void MicroTile(const float* a, const float* b, float* c, int64_t k,
 
 /// Remainder columns [j0, n): one scalar accumulator per output element,
 /// still ascending in k.
-template <int MI>
-inline void TailCols(const float* a, const float* b, float* c, int64_t k,
-                     int64_t n, int64_t j0) {
-  for (int ii = 0; ii < MI; ++ii) {
-    for (int64_t j = j0; j < n; ++j) {
-      float acc = 0.0f;
-      for (int64_t kk = 0; kk < k; ++kk) acc += a[ii * k + kk] * b[kk * n + j];
-      c[ii * n + j] = acc;
-    }
-  }
-}
-
-/// MI consecutive rows of C.
-template <int MI>
-void RowBlock(const float* a, const float* b, float* c, int64_t k, int64_t n) {
-  int64_t j = 0;
-  for (; j + kColTile <= n; j += kColTile) MicroTile<MI>(a, b, c, k, n, j);
-  if (j < n) TailCols<MI>(a, b, c, k, n, j);
-}
-
-/// TN variant of MicroTile: C rows are A *columns*, so the MI values per k
-/// step come from one contiguous stretch of A's row kk (a + kk * lda).  Same
-/// rank-1-update structure and accumulation order as MicroTile.
-template <int MI>
-inline void MicroTileTN(const float* a, const float* b, float* c, int64_t k,
-                        int64_t n, int64_t lda, int64_t j0) {
-  float acc[MI][kColTile] = {};
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float* acol = a + kk * lda;
-    const float* brow = b + kk * n + j0;
-    for (int ii = 0; ii < MI; ++ii) {
-      const float aik = acol[ii];
-      FEWNER_SIMD
-      for (int jj = 0; jj < kColTile; ++jj) acc[ii][jj] += aik * brow[jj];
-    }
-  }
-  for (int ii = 0; ii < MI; ++ii) {
-    FEWNER_SIMD
-    for (int jj = 0; jj < kColTile; ++jj) c[ii * n + j0 + jj] = acc[ii][jj];
-  }
-}
-
-/// TN remainder columns: one scalar accumulator per element, ascending k.
-template <int MI>
-inline void TailColsTN(const float* a, const float* b, float* c, int64_t k,
-                       int64_t n, int64_t lda, int64_t j0) {
+template <ALayout kA, int MI>
+inline void TailCols(const float* a, int64_t lda, const float* b, float* c,
+                     int64_t k, int64_t n, int64_t j0) {
   for (int ii = 0; ii < MI; ++ii) {
     for (int64_t j = j0; j < n; ++j) {
       float acc = 0.0f;
       for (int64_t kk = 0; kk < k; ++kk) {
-        acc += a[kk * lda + ii] * b[kk * n + j];
+        acc += AAt<kA>(a, lda, ii, kk) * b[kk * n + j];
       }
       c[ii * n + j] = acc;
     }
   }
 }
 
-/// MI consecutive rows of C = MI consecutive columns of A.
-template <int MI>
-void RowBlockTN(const float* a, const float* b, float* c, int64_t k, int64_t n,
-                int64_t lda) {
+/// MI consecutive rows of C.
+template <ALayout kA, int MI>
+void RowBlock(const float* a, int64_t lda, const float* b, float* c, int64_t k,
+              int64_t n) {
   int64_t j = 0;
   for (; j + kColTile <= n; j += kColTile) {
-    MicroTileTN<MI>(a, b, c, k, n, lda, j);
+    MicroTile<kA, MI>(a, lda, b, c, k, n, j);
   }
-  if (j < n) TailColsTN<MI>(a, b, c, k, n, lda, j);
+  if (j < n) TailCols<kA, MI>(a, lda, b, c, k, n, j);
 }
 
 }  // namespace
 
-void MatMulBlocked(const float* a, const float* b, float* c, int64_t m,
-                   int64_t k, int64_t n) {
+template <ALayout kA>
+void SerialGemm(const float* a, int64_t lda, const float* b, float* c,
+                int64_t m, int64_t k, int64_t n) {
   int64_t i = 0;
   for (; i + kRowTile <= m; i += kRowTile) {
-    RowBlock<kRowTile>(a + i * k, b, c + i * n, k, n);
+    RowBlock<kA, kRowTile>(a + ARowOffset<kA>(i, lda), lda, b, c + i * n, k, n);
   }
+  const float* ai = a + ARowOffset<kA>(i, lda);
   switch (m - i) {
     case 3:
-      RowBlock<3>(a + i * k, b, c + i * n, k, n);
+      RowBlock<kA, 3>(ai, lda, b, c + i * n, k, n);
       break;
     case 2:
-      RowBlock<2>(a + i * k, b, c + i * n, k, n);
+      RowBlock<kA, 2>(ai, lda, b, c + i * n, k, n);
       break;
     case 1:
-      RowBlock<1>(a + i * k, b, c + i * n, k, n);
+      RowBlock<kA, 1>(ai, lda, b, c + i * n, k, n);
       break;
     default:
       break;
   }
 }
 
-void MatMulNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
-              int64_t n) {
-  float* bt = TransposeScratch(k * n);
-  PackTranspose(b, bt, n, k);  // b [n, k] -> bt [k, n]
-  MatMulBlocked(a, bt, c, m, k, n);
-}
-
-void MatMulTN(const float* a, const float* b, float* c, int64_t m, int64_t k,
-              int64_t n, int64_t lda) {
-  if (lda < 0) lda = m;
-  int64_t i = 0;
-  for (; i + kRowTile <= m; i += kRowTile) {
-    RowBlockTN<kRowTile>(a + i, b, c + i * n, k, n, lda);
-  }
-  switch (m - i) {
-    case 3:
-      RowBlockTN<3>(a + i, b, c + i * n, k, n, lda);
-      break;
-    case 2:
-      RowBlockTN<2>(a + i, b, c + i * n, k, n, lda);
-      break;
-    case 1:
-      RowBlockTN<1>(a + i, b, c + i * n, k, n, lda);
-      break;
-    default:
-      break;
-  }
-}
+template void SerialGemm<ALayout::kRowMajor>(const float*, int64_t, const float*,
+                                             float*, int64_t, int64_t, int64_t);
+template void SerialGemm<ALayout::kColMajor>(const float*, int64_t, const float*,
+                                             float*, int64_t, int64_t, int64_t);
 
 void PackTranspose(const float* src, float* dst, int64_t rows, int64_t cols) {
   for (int64_t r = 0; r < rows; ++r) {
@@ -180,25 +125,6 @@ float* TransposeScratch(int64_t numel) {
     scratch.resize(static_cast<size_t>(numel));
   }
   return scratch.data();
-}
-
-void MatMulNaive(const float* a, const float* b, float* c, int64_t m, int64_t k,
-                 int64_t n) {
-  for (int64_t x = 0; x < m * n; ++x) c[x] = 0.0f;
-  // i-k-j order, unit-stride inner loop.  The aik == 0 skip only elides
-  // additions of ±0 products, which never change a (+0-initialized)
-  // accumulator for finite inputs — so this stays bitwise-equal to the
-  // blocked kernel.
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float aik = a[i * k + kk];
-      if (aik == 0.0f) continue;
-      const float* brow = b + kk * n;
-      float* crow = c + i * n;
-      FEWNER_SIMD
-      for (int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
 }
 
 }  // namespace fewner::tensor::kernel

@@ -7,7 +7,6 @@
 
 #include "tensor/eval_mode.h"
 #include "tensor/intraop.h"
-#include "tensor/matmul_kernel.h"
 
 namespace fewner::tensor {
 
@@ -30,61 +29,24 @@ struct OpOutput {
   float* data() { return node->values.data(); }
 };
 
-/// Output for an op result.  Recycled buffers hold stale values: ops that
-/// accumulate (rather than overwrite every element) pass zero=true.  The
-/// copy-assignment of `shape` into a recycled node reuses the node's dims
-/// capacity, so steady-state eval traffic allocates nothing here.
-OpOutput NewOutput(const char* op, const Shape& shape, bool zero = false) {
-  const size_t n = static_cast<size_t>(shape.numel());
-  std::shared_ptr<internal::Node> node;
-  if (EvalMode::active()) {
-    node = WorkspaceArena::ThreadLocal().Acquire(n);
-    node->shape = shape;
-  } else {
-    node = std::make_shared<internal::Node>();
-    node->shape = shape;
+/// The one output chokepoint of every op: the output node and its buffer,
+/// shaped `shape` — or, when `axis` >= 0, `shape` with dimension `axis` set
+/// to `dim`, which lets Slice/MaxAxis derive their output from the input's
+/// shape without a temporary dims vector.  Recycled buffers hold stale
+/// values: ops that accumulate (rather than overwrite every element) pass
+/// zero=true.  Copy-assigning the shape into a recycled node reuses the
+/// node's dims capacity, so steady-state eval traffic allocates nothing here.
+OpOutput NewOutput(const char* op, const Shape& shape, bool zero = false,
+                   int64_t axis = -1, int64_t dim = 0) {
+  size_t n = 1;
+  for (int64_t i = 0; i < shape.rank(); ++i) {
+    n *= static_cast<size_t>(i == axis ? dim : shape.dim(i));
   }
-  node->op = op;
-  node->leaf = false;
-  node->values.resize(n);
-  if (zero) std::fill(node->values.begin(), node->values.end(), 0.0f);
-  return {std::move(node)};
-}
-
-/// Rvalue form for call sites that build a temporary shape.
-OpOutput NewOutput(const char* op, Shape&& shape, bool zero = false) {
-  const size_t n = static_cast<size_t>(shape.numel());
-  std::shared_ptr<internal::Node> node;
-  if (EvalMode::active()) {
-    node = WorkspaceArena::ThreadLocal().Acquire(n);
-    node->shape = shape;  // copy keeps the recycled dims capacity alive
-  } else {
-    node = std::make_shared<internal::Node>();
-    node->shape = std::move(shape);
-  }
-  node->op = op;
-  node->leaf = false;
-  node->values.resize(n);
-  if (zero) std::fill(node->values.begin(), node->values.end(), 0.0f);
-  return {std::move(node)};
-}
-
-/// Output whose shape is `base` with one dimension replaced — the common case
-/// for Slice/MaxAxis — built without materializing a temporary dims vector.
-OpOutput NewOutputPatched(const char* op, const Shape& base, int64_t axis,
-                          int64_t dim, bool zero = false) {
-  size_t n = static_cast<size_t>(dim);
-  for (int64_t i = 0; i < base.rank(); ++i) {
-    if (i != axis) n *= static_cast<size_t>(base.dim(i));
-  }
-  std::shared_ptr<internal::Node> node;
-  if (EvalMode::active()) {
-    node = WorkspaceArena::ThreadLocal().Acquire(n);
-  } else {
-    node = std::make_shared<internal::Node>();
-  }
-  node->shape = base;
-  node->shape.set_dim(axis, dim);
+  std::shared_ptr<internal::Node> node =
+      EvalMode::active() ? WorkspaceArena::ThreadLocal().Acquire(n)
+                         : std::make_shared<internal::Node>();
+  node->shape = shape;
+  if (axis >= 0) node->shape.set_dim(axis, dim);
   node->op = op;
   node->leaf = false;
   node->values.resize(n);
@@ -215,7 +177,7 @@ Tensor ElementwiseBinary(const char* op, const Tensor& a, const Tensor& b, Binar
   BroadcastIndexer ia(a.shape(), shape);
   BroadcastIndexer ib(b.shape(), shape);
   const int64_t n = shape.numel();
-  OpOutput out = NewOutput(op, std::move(shape));
+  OpOutput out = NewOutput(op, shape);
   float* ov = out.data();
   const auto& av = a.data();
   const auto& bv = b.data();
@@ -413,7 +375,7 @@ Tensor Reshape(const Tensor& t, Shape shape) {
   FEWNER_CHECK(shape.numel() == t.numel(), "Reshape " << t.shape().ToString() << " -> "
                                                       << shape.ToString());
   const auto& tv = t.data();
-  OpOutput out = NewOutput("reshape", std::move(shape));
+  OpOutput out = NewOutput("reshape", shape);
   if (!tv.empty()) std::memcpy(out.data(), tv.data(), tv.size() * sizeof(float));
   if (EvalMode::active()) return SealEval(std::move(out));
   Shape original = t.shape();
@@ -479,7 +441,7 @@ Tensor BroadcastTo(const Tensor& t, Shape shape) {
                "BroadcastTo " << t.shape().ToString() << " -> " << shape.ToString());
   BroadcastIndexer indexer(t.shape(), shape);
   const int64_t n = shape.numel();
-  OpOutput out = NewOutput("broadcast_to", std::move(shape));
+  OpOutput out = NewOutput("broadcast_to", shape);
   float* ov = out.data();
   const float* tv = t.data().data();
   for (int64_t i = 0; i < n; ++i) {
@@ -499,7 +461,7 @@ Tensor SumTo(const Tensor& t, Shape shape) {
                "SumTo " << t.shape().ToString() << " -> " << shape.ToString());
   BroadcastIndexer indexer(shape, t.shape());
   const int64_t n = t.numel();
-  OpOutput out = NewOutput("sum_to", std::move(shape), /*zero=*/true);
+  OpOutput out = NewOutput("sum_to", shape, /*zero=*/true);
   float* ov = out.data();
   const float* tv = t.data().data();
   for (int64_t i = 0; i < n; ++i) {
@@ -530,16 +492,13 @@ Tensor Concat(const std::vector<Tensor>& tensors, int64_t axis) {
     }
     axis_total += t.shape().dim(axis);
   }
-  std::vector<int64_t> out_dims = first.dims();
-  out_dims[static_cast<size_t>(axis)] = axis_total;
-  Shape out_shape{std::vector<int64_t>(out_dims)};
 
   // outer = product of dims before axis; inner = product after axis.
   int64_t outer = 1, inner = 1;
   for (int64_t d = 0; d < axis; ++d) outer *= first.dim(d);
   for (int64_t d = axis + 1; d < first.rank(); ++d) inner *= first.dim(d);
 
-  OpOutput out = NewOutput("concat", std::move(out_shape));
+  OpOutput out = NewOutput("concat", first, /*zero=*/false, axis, axis_total);
   float* ov = out.data();
   int64_t offset = 0;  // running position along the concat axis
   for (const Tensor& t : tensors) {
@@ -580,7 +539,7 @@ Tensor Slice(const Tensor& t, int64_t axis, int64_t start, int64_t length) {
   for (int64_t d = axis + 1; d < shape.rank(); ++d) inner *= shape.dim(d);
   const int64_t axis_size = shape.dim(axis);
 
-  OpOutput out = NewOutputPatched("slice", shape, axis, length);
+  OpOutput out = NewOutput("slice", shape, /*zero=*/false, axis, length);
   float* ov = out.data();
   const float* tv = t.data().data();
   // An empty output may have no buffer at all, and memcpy forbids null even
@@ -695,7 +654,7 @@ Tensor MaxAxis(const Tensor& t, int64_t axis, bool keepdim) {
 
   const bool graph = !EvalMode::active();
   const auto& tv = t.data();
-  OpOutput out = NewOutputPatched("max_axis", shape, axis, 1);
+  OpOutput out = NewOutput("max_axis", shape, /*zero=*/false, axis, 1);
   float* ov = out.data();
   // One-hot selection mask: locally constant, exact a.e. under create_graph.
   // Only the graph mode backward needs it.
@@ -741,85 +700,87 @@ Tensor MaxAxis(const Tensor& t, int64_t axis, bool keepdim) {
 
 // ----- linear algebra -----
 
-Tensor MatMul(const Tensor& a, const Tensor& b) {
+namespace {
+
+/// Which operand of a product is read transposed.
+enum class GemmLayout { kNN, kNT, kTN };
+
+/// The one op body of the MatMul family: C = op(A)·op(B) with at most one
+/// side transposed.  The register-tiled kernel serves graph and eval mode
+/// alike, so training forwards take the same fast path as serving.
+Tensor GemmOp(GemmLayout layout, const Tensor& a, const Tensor& b) {
+  static constexpr const char* kNames[] = {"matmul", "matmul_nt", "matmul_tn"};
+  const char* name = kNames[static_cast<int>(layout)];
+  const bool ta = layout == GemmLayout::kTN;
+  const bool tb = layout == GemmLayout::kNT;
+  const auto operands = [&] {
+    return a.shape().ToString() + (ta ? "^T" : "") + " x " +
+           b.shape().ToString() + (tb ? "^T" : "");
+  };
   FEWNER_CHECK(a.rank() == 2 && b.rank() == 2,
-               "MatMul requires rank-2 operands, got " << a.shape().ToString() << " x "
-                                                       << b.shape().ToString());
-  const int64_t m = a.shape().dim(0);
-  const int64_t k = a.shape().dim(1);
-  const int64_t n = b.shape().dim(1);
-  FEWNER_CHECK(b.shape().dim(0) == k, "MatMul inner dim mismatch: "
-                                          << a.shape().ToString() << " x "
-                                          << b.shape().ToString());
-  OpOutput out = NewOutput("matmul", Shape{m, n});
-  // The register-tiled kernel serves graph and eval mode alike, so training
-  // forwards take the same fast path as serving.
-  kernel::GemmNN(a.data().data(), b.data().data(), out.data(), m, k, n);
+               name << " requires rank-2 operands, got " << operands());
+  const int64_t m = a.shape().dim(ta ? 1 : 0);
+  const int64_t k = a.shape().dim(ta ? 0 : 1);
+  const int64_t n = b.shape().dim(tb ? 0 : 1);
+  FEWNER_CHECK(b.shape().dim(tb ? 1 : 0) == k,
+               name << " inner dim mismatch: " << operands());
+  OpOutput out = NewOutput(name, Shape{m, n});
+  const float* av = a.data().data();
+  const float* bv = b.data().data();
+  switch (layout) {
+    case GemmLayout::kNN:
+      kernel::GemmNN(av, bv, out.data(), m, k, n);
+      break;
+    case GemmLayout::kNT:
+      kernel::GemmNT(av, bv, out.data(), m, k, n);
+      break;
+    case GemmLayout::kTN:
+      kernel::GemmTN(av, bv, out.data(), m, k, n);
+      break;
+  }
   if (EvalMode::active()) return SealEval(std::move(out));
-  // dA = G·Bᵀ and dB = Aᵀ·G go straight to the NT/TN kernels — no Transpose
-  // nodes, no copies — and each is built only for an input that can use it.
+  // Each gradient is again one product of the family — no Transpose nodes, no
+  // copies — built only for an input that can use it:
+  //   NN  C = A·B:   dA = G·Bᵀ (NT),  dB = Aᵀ·G (TN)
+  //   NT  C = A·Bᵀ:  dA = G·B  (NN),  dB = Gᵀ·A (TN)
+  //   TN  C = Aᵀ·B:  dA = B·Gᵀ (NT),  dB = A·G  (NN)
   const bool need_a = a.requires_grad();
   const bool need_b = b.requires_grad();
-  return SealGraph(std::move(out), {a, b},
-                   [a, b, need_a, need_b](const Tensor&,
-                                          const Tensor& grad) -> std::vector<Tensor> {
-                     std::vector<Tensor> grads(2);
-                     if (need_a) grads[0] = MatMulNT(grad, b);
-                     if (need_b) grads[1] = MatMulTN(a, grad);
-                     return grads;
-                   });
+  return SealGraph(
+      std::move(out), {a, b},
+      [layout, a, b, need_a, need_b](const Tensor&,
+                                     const Tensor& grad) -> std::vector<Tensor> {
+        std::vector<Tensor> grads(2);
+        switch (layout) {
+          case GemmLayout::kNN:
+            if (need_a) grads[0] = GemmOp(GemmLayout::kNT, grad, b);
+            if (need_b) grads[1] = GemmOp(GemmLayout::kTN, a, grad);
+            break;
+          case GemmLayout::kNT:
+            if (need_a) grads[0] = GemmOp(GemmLayout::kNN, grad, b);
+            if (need_b) grads[1] = GemmOp(GemmLayout::kTN, grad, a);
+            break;
+          case GemmLayout::kTN:
+            if (need_a) grads[0] = GemmOp(GemmLayout::kNT, b, grad);
+            if (need_b) grads[1] = GemmOp(GemmLayout::kNN, a, grad);
+            break;
+        }
+        return grads;
+      });
+}
+
+}  // namespace
+
+Tensor MatMul(const Tensor& a, const Tensor& b) {
+  return GemmOp(GemmLayout::kNN, a, b);
 }
 
 Tensor MatMulNT(const Tensor& a, const Tensor& b) {
-  FEWNER_CHECK(a.rank() == 2 && b.rank() == 2,
-               "MatMulNT requires rank-2 operands, got " << a.shape().ToString() << " x "
-                                                         << b.shape().ToString());
-  const int64_t m = a.shape().dim(0);
-  const int64_t k = a.shape().dim(1);
-  const int64_t n = b.shape().dim(0);
-  FEWNER_CHECK(b.shape().dim(1) == k, "MatMulNT inner dim mismatch: "
-                                          << a.shape().ToString() << " x "
-                                          << b.shape().ToString() << "^T");
-  OpOutput out = NewOutput("matmul_nt", Shape{m, n});
-  kernel::GemmNT(a.data().data(), b.data().data(), out.data(), m, k, n);
-  if (EvalMode::active()) return SealEval(std::move(out));
-  // C = A·Bᵀ: dA = G·B (plain NN), dB = Gᵀ·A.
-  const bool need_a = a.requires_grad();
-  const bool need_b = b.requires_grad();
-  return SealGraph(std::move(out), {a, b},
-                   [a, b, need_a, need_b](const Tensor&,
-                                          const Tensor& grad) -> std::vector<Tensor> {
-                     std::vector<Tensor> grads(2);
-                     if (need_a) grads[0] = MatMul(grad, b);
-                     if (need_b) grads[1] = MatMulTN(grad, a);
-                     return grads;
-                   });
+  return GemmOp(GemmLayout::kNT, a, b);
 }
 
 Tensor MatMulTN(const Tensor& a, const Tensor& b) {
-  FEWNER_CHECK(a.rank() == 2 && b.rank() == 2,
-               "MatMulTN requires rank-2 operands, got " << a.shape().ToString() << "^T x "
-                                                         << b.shape().ToString());
-  const int64_t k = a.shape().dim(0);
-  const int64_t m = a.shape().dim(1);
-  const int64_t n = b.shape().dim(1);
-  FEWNER_CHECK(b.shape().dim(0) == k, "MatMulTN inner dim mismatch: "
-                                          << a.shape().ToString() << "^T x "
-                                          << b.shape().ToString());
-  OpOutput out = NewOutput("matmul_tn", Shape{m, n});
-  kernel::GemmTN(a.data().data(), b.data().data(), out.data(), m, k, n);
-  if (EvalMode::active()) return SealEval(std::move(out));
-  // C = Aᵀ·B: dA = B·Gᵀ, dB = A·G (plain NN).
-  const bool need_a = a.requires_grad();
-  const bool need_b = b.requires_grad();
-  return SealGraph(std::move(out), {a, b},
-                   [a, b, need_a, need_b](const Tensor&,
-                                          const Tensor& grad) -> std::vector<Tensor> {
-                     std::vector<Tensor> grads(2);
-                     if (need_a) grads[0] = MatMulNT(b, grad);
-                     if (need_b) grads[1] = MatMul(a, grad);
-                     return grads;
-                   });
+  return GemmOp(GemmLayout::kTN, a, b);
 }
 
 // ----- gather / scatter -----

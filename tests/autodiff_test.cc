@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <string>
 
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
@@ -220,34 +221,33 @@ TEST(AutodiffTest, MatMulFamilySkipsGradExpressionsForConstantInputs) {
   // requires_grad() == false (tensor.h's BackwardFn contract); the MatMul
   // family exploits that so a frozen operand — e.g. θ during test-time
   // adaptation — costs neither a transpose nor a GEMM on the tape.
+  // All six cases: each layout with either operand frozen, so every arm of
+  // the shared op body's backward is covered.  C is [2, 4] with k = 3.
+  using Product = Tensor (*)(const Tensor&, const Tensor&);
+  struct Case {
+    const char* name;
+    Product product;
+    Shape a_shape, b_shape;
+  };
+  const Case cases[] = {{"NN", &MatMul, Shape{2, 3}, Shape{3, 4}},
+                        {"NT", &MatMulNT, Shape{2, 3}, Shape{4, 3}},
+                        {"TN", &MatMulTN, Shape{3, 2}, Shape{3, 4}}};
   Tensor ones = Tensor::Ones(Shape{2, 4});
-  {
-    Tensor a = RandTensor(Shape{2, 3}, 93);
-    Tensor b = RandTensor(Shape{3, 4}, 94);
-    b.set_requires_grad(false);
-    Tensor c = MatMul(a, b);
-    auto grads = c.node()->backward(c, ones);
-    ASSERT_EQ(grads.size(), 2u);
-    EXPECT_TRUE(grads[0].defined());
-    EXPECT_FALSE(grads[1].defined());
-  }
-  {
-    Tensor a = RandTensor(Shape{2, 3}, 95);
-    a.set_requires_grad(false);
-    Tensor b = RandTensor(Shape{4, 3}, 96);
-    Tensor c = MatMulNT(a, b);
-    auto grads = c.node()->backward(c, ones);
-    EXPECT_FALSE(grads[0].defined());
-    EXPECT_TRUE(grads[1].defined());
-  }
-  {
-    Tensor a = RandTensor(Shape{3, 2}, 97);
-    Tensor b = RandTensor(Shape{3, 4}, 98);
-    b.set_requires_grad(false);
-    Tensor c = MatMulTN(a, b);
-    auto grads = c.node()->backward(c, ones);
-    EXPECT_TRUE(grads[0].defined());
-    EXPECT_FALSE(grads[1].defined());
+  uint64_t seed = 93;
+  for (const Case& c : cases) {
+    for (const bool freeze_a : {true, false}) {
+      SCOPED_TRACE(std::string(c.name) + (freeze_a ? " frozen a" : " frozen b"));
+      Tensor a = RandTensor(c.a_shape, seed++);
+      Tensor b = RandTensor(c.b_shape, seed++);
+      (freeze_a ? a : b).set_requires_grad(false);
+      Tensor out = c.product(a, b);
+      auto grads = out.node()->backward(out, ones);
+      ASSERT_EQ(grads.size(), 2u);
+      EXPECT_EQ(grads[0].defined(), !freeze_a);
+      EXPECT_EQ(grads[1].defined(), freeze_a);
+      const Tensor& live = freeze_a ? grads[1] : grads[0];
+      EXPECT_EQ(live.shape(), freeze_a ? c.b_shape : c.a_shape);
+    }
   }
   // End-to-end: Grad through a frozen-weight product still works and matches
   // the analytic value dL/da = 1·bᵀ for L = sum(a·b).

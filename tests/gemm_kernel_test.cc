@@ -2,9 +2,9 @@
 // deterministic intra-op dispatch (tensor/matmul_kernel.h, tensor/intraop.h).
 //
 // Three claims are pinned here, all to the last bit:
-//   1. MatMulBlocked / MatMulNT / MatMulTN match naive ascending-k references
-//      on shapes that straddle every tile remainder — and NT/TN match the
-//      transpose-then-MatMulBlocked composition they replaced.
+//   1. GemmNN / GemmNT / GemmTN (serial budget) match naive ascending-k
+//      references on shapes that straddle every tile remainder — and NT/TN
+//      match the transpose-then-NN composition they replaced.
 //   2. Row-sharded parallel dispatch is bitwise-invariant to the intra-op
 //      budget: each output element keeps its single ascending-k accumulator
 //      no matter which slab (thread) computes it.
@@ -42,6 +42,19 @@ void ExpectBitwiseEqual(const std::vector<float>& got,
   }
 }
 
+/// Reference NN: c[i, j] = sum_kk a[i, kk] * b[kk, j], kk ascending, one
+/// scalar accumulator per element.
+void NaiveNN(const float* a, const float* b, float* c, int64_t m, int64_t k,
+             int64_t n) {
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (int64_t kk = 0; kk < k; ++kk) acc += a[i * k + kk] * b[kk * n + j];
+      c[i * n + j] = acc;
+    }
+  }
+}
+
 /// Reference NT: c[i, j] = sum_kk a[i, kk] * b[j, kk], kk ascending, one
 /// scalar accumulator per element.
 void NaiveNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
@@ -76,47 +89,54 @@ std::vector<float> Transposed(const std::vector<float>& src, int64_t rows,
 
 TEST(GemmKernelTest, FamilyMatchesNaiveReferencesBitwiseOnSweep) {
   // Every m, k, n in 1..17 hits each register-tile remainder (4-row, 8-col);
-  // the larger sizes are exact tile multiples.
+  // the larger sizes are exact tile multiples.  Each shape runs twice: once
+  // on Gaussian operands, once with every seventh A element an exact zero
+  // (zero products must not perturb the single ascending-k accumulator).
   std::vector<int64_t> sizes;
   for (int64_t s = 1; s <= 17; ++s) sizes.push_back(s);
   sizes.push_back(24);
   sizes.push_back(32);
+  ParallelismBudget serial(1);
   util::Rng rng(2024);
   for (int64_t m : sizes) {
     for (int64_t k : sizes) {
       for (int64_t n : sizes) {
-        const std::vector<float> a_nn = RandomVec(m * k, &rng);
-        const std::vector<float> b_nn = RandomVec(k * n, &rng);
-        std::vector<float> got(static_cast<size_t>(m * n), -1.0f);
-        std::vector<float> want(static_cast<size_t>(m * n), -2.0f);
+        for (const bool zeros : {false, true}) {
+          std::vector<float> a_nn = RandomVec(m * k, &rng);
+          std::vector<float> a_tn = RandomVec(k * m, &rng);
+          if (zeros) {
+            for (size_t i = 0; i < a_nn.size(); i += 7) a_nn[i] = 0.0f;
+            for (size_t i = 0; i < a_tn.size(); i += 7) a_tn[i] = 0.0f;
+          }
+          const std::vector<float> b_nn = RandomVec(k * n, &rng);
+          const std::vector<float> b_nt = RandomVec(n * k, &rng);
+          std::vector<float> got(static_cast<size_t>(m * n), -1.0f);
+          std::vector<float> want(static_cast<size_t>(m * n), -2.0f);
 
-        kernel::MatMulBlocked(a_nn.data(), b_nn.data(), got.data(), m, k, n);
-        kernel::MatMulNaive(a_nn.data(), b_nn.data(), want.data(), m, k, n);
-        ExpectBitwiseEqual(got, want, "NN", m, k, n);
+          kernel::GemmNN(a_nn.data(), b_nn.data(), got.data(), m, k, n);
+          NaiveNN(a_nn.data(), b_nn.data(), want.data(), m, k, n);
+          ExpectBitwiseEqual(got, want, "NN", m, k, n);
 
-        // NT with the same operands read as a[m, k], b[n, k].
-        const std::vector<float> b_nt = RandomVec(n * k, &rng);
-        kernel::MatMulNT(a_nn.data(), b_nt.data(), got.data(), m, k, n);
-        NaiveNT(a_nn.data(), b_nt.data(), want.data(), m, k, n);
-        ExpectBitwiseEqual(got, want, "NT", m, k, n);
+          // NT with the same A read as a[m, k], b[n, k] ...
+          kernel::GemmNT(a_nn.data(), b_nt.data(), got.data(), m, k, n);
+          NaiveNT(a_nn.data(), b_nt.data(), want.data(), m, k, n);
+          ExpectBitwiseEqual(got, want, "NT", m, k, n);
 
-        // ... and against the graph-level composition NT replaced:
-        // MatMulBlocked(a, transpose(b)).
-        const std::vector<float> b_nt_t = Transposed(b_nt, n, k);  // [k, n]
-        kernel::MatMulBlocked(a_nn.data(), b_nt_t.data(), want.data(), m, k, n);
-        kernel::MatMulNT(a_nn.data(), b_nt.data(), got.data(), m, k, n);
-        ExpectBitwiseEqual(got, want, "NT-vs-transpose", m, k, n);
+          // ... and against the graph-level composition NT replaced:
+          // NN(a, transpose(b)).
+          const std::vector<float> b_nt_t = Transposed(b_nt, n, k);  // [k, n]
+          kernel::GemmNN(a_nn.data(), b_nt_t.data(), want.data(), m, k, n);
+          ExpectBitwiseEqual(got, want, "NT-vs-transpose", m, k, n);
 
-        // TN with a read as [k, m].
-        const std::vector<float> a_tn = RandomVec(k * m, &rng);
-        kernel::MatMulTN(a_tn.data(), b_nn.data(), got.data(), m, k, n);
-        NaiveTN(a_tn.data(), b_nn.data(), want.data(), m, k, n);
-        ExpectBitwiseEqual(got, want, "TN", m, k, n);
+          // TN with a read as [k, m].
+          kernel::GemmTN(a_tn.data(), b_nn.data(), got.data(), m, k, n);
+          NaiveTN(a_tn.data(), b_nn.data(), want.data(), m, k, n);
+          ExpectBitwiseEqual(got, want, "TN", m, k, n);
 
-        const std::vector<float> a_tn_t = Transposed(a_tn, k, m);  // [m, k]
-        kernel::MatMulBlocked(a_tn_t.data(), b_nn.data(), want.data(), m, k, n);
-        kernel::MatMulTN(a_tn.data(), b_nn.data(), got.data(), m, k, n);
-        ExpectBitwiseEqual(got, want, "TN-vs-transpose", m, k, n);
+          const std::vector<float> a_tn_t = Transposed(a_tn, k, m);  // [m, k]
+          kernel::GemmNN(a_tn_t.data(), b_nn.data(), want.data(), m, k, n);
+          ExpectBitwiseEqual(got, want, "TN-vs-transpose", m, k, n);
+        }
       }
     }
   }
@@ -126,17 +146,20 @@ TEST(GemmKernelTest, TnColumnBlockWithLeadingDimensionMatchesFullMatrix) {
   // The sharded dispatch computes a row range of C as a *column* block of A
   // addressed through lda; splicing the block results must reproduce the
   // whole-matrix call bitwise.
+  using kernel::ALayout;
   util::Rng rng(7);
   const int64_t m = 23, k = 31, n = 13;
   const std::vector<float> a = RandomVec(k * m, &rng);
   const std::vector<float> b = RandomVec(k * n, &rng);
   std::vector<float> whole(static_cast<size_t>(m * n));
-  kernel::MatMulTN(a.data(), b.data(), whole.data(), m, k, n);
+  kernel::SerialGemm<ALayout::kColMajor>(a.data(), m, b.data(), whole.data(), m,
+                                         k, n);
   std::vector<float> spliced(static_cast<size_t>(m * n), -1.0f);
   for (int64_t row0 : {int64_t{0}, int64_t{9}, int64_t{18}}) {
     const int64_t rows = std::min<int64_t>(9, m - row0);
-    kernel::MatMulTN(a.data() + row0, b.data(), spliced.data() + row0 * n, rows,
-                     k, n, /*lda=*/m);
+    kernel::SerialGemm<ALayout::kColMajor>(
+        a.data() + kernel::ARowOffset<ALayout::kColMajor>(row0, m), m, b.data(),
+        spliced.data() + row0 * n, rows, k, n);
   }
   ExpectBitwiseEqual(spliced, whole, "TN-lda", m, k, n);
 }

@@ -3,11 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 
 #include "tensor/autodiff.h"
 #include "tensor/eval_mode.h"
-#include "tensor/matmul_kernel.h"
 #include "tensor/ops.h"
 #include "tensor/shape.h"
 #include "tensor/tensor.h"
@@ -285,35 +283,6 @@ TEST(OpsTest, RequiresGradPropagates) {
   EXPECT_TRUE(Add(a, b).requires_grad());
   EXPECT_FALSE(Add(b, b).requires_grad());
   EXPECT_TRUE(MatMul(Reshape(a, Shape{1, 2}), Reshape(b, Shape{2, 1})).requires_grad());
-}
-
-TEST(MatMulKernelTest, BlockedMatchesNaiveBitwiseOnAwkwardShapes) {
-  // Shapes deliberately straddle the 4x8 register tile: remainder rows,
-  // remainder columns, degenerate dims.  The kernels promise identical
-  // per-element accumulation order, so equality must hold to the last bit.
-  const int64_t sizes[] = {1, 2, 3, 5, 7, 9, 17, 33};
-  util::Rng rng(515);
-  for (int64_t m : sizes) {
-    for (int64_t k : sizes) {
-      for (int64_t n : sizes) {
-        std::vector<float> a(static_cast<size_t>(m * k));
-        std::vector<float> b(static_cast<size_t>(k * n));
-        for (float& v : a) v = static_cast<float>(rng.Gaussian(0.0, 1.0));
-        for (float& v : b) v = static_cast<float>(rng.Gaussian(0.0, 1.0));
-        // Sprinkle exact zeros to exercise the naive kernel's skip branch.
-        for (size_t i = 0; i < a.size(); i += 7) a[i] = 0.0f;
-        std::vector<float> blocked(static_cast<size_t>(m * n), -1.0f);
-        std::vector<float> naive(static_cast<size_t>(m * n), -2.0f);
-        kernel::MatMulBlocked(a.data(), b.data(), blocked.data(), m, k, n);
-        kernel::MatMulNaive(a.data(), b.data(), naive.data(), m, k, n);
-        for (size_t i = 0; i < blocked.size(); ++i) {
-          ASSERT_EQ(std::memcmp(&blocked[i], &naive[i], sizeof(float)), 0)
-              << "m=" << m << " k=" << k << " n=" << n << " elem " << i << ": "
-              << blocked[i] << " vs " << naive[i];
-        }
-      }
-    }
-  }
 }
 
 TEST(OpsTest, IndexSelectScatterAddAreAdjoint) {
