@@ -56,23 +56,6 @@ class LinearChainCrf : public nn::Module {
       const tensor::Tensor& emissions, const std::vector<int64_t>& lengths,
       const std::vector<bool>* valid_tags = nullptr) const;
 
-  /// The k highest-scoring tag sequences with their (unnormalized) path
-  /// scores, best first.  Returns fewer than k when the (valid-tag) path space
-  /// is smaller.  Useful for downstream rerankers and for confidence triage.
-  struct ScoredPath {
-    std::vector<int64_t> tags;
-    float score;
-  };
-  std::vector<ScoredPath> ViterbiKBest(const tensor::Tensor& emissions, int64_t k,
-                                       const std::vector<bool>* valid_tags =
-                                           nullptr) const;
-
-  /// Posterior tag marginals p(y_t = j | h) via forward-backward, [L, num_tags]
-  /// rows summing to 1 over valid tags.  Inference-only (plain float math).
-  std::vector<std::vector<double>> Marginals(const tensor::Tensor& emissions,
-                                             const std::vector<bool>* valid_tags =
-                                                 nullptr) const;
-
   int64_t num_tags() const { return num_tags_; }
 
  private:

@@ -290,9 +290,9 @@ Tensor Backbone::RunsLoss(const EncodedBatch* batch, const CachedPrefix* prefix,
                    Emissions(run, hidden), run.tags, run.lengths, &valid_tags));
              });
   // Runs are contiguous and ascending, so the concatenated lane NLLs sit in
-  // batch order; SumAllFloat folds them with the same left-associated scalar
-  // float adds as the per-sentence overload, so the totals agree bitwise,
-  // not just to rounding.
+  // batch order; SumAllFloat folds them with left-associated scalar float
+  // adds, so the total is bitwise-equal to summing one-sentence losses in
+  // lane order (the per-sentence test oracle), not just to rounding.
   Tensor per_lane = per_run.size() == 1 ? per_run.front()
                                         : tensor::Concat(per_run, 0);
   return tensor::SumAllFloat(per_lane);
@@ -336,35 +336,6 @@ Tensor Backbone::TokenFeatures(const EncodedBatch& batch, const Tensor& phi) con
                per_run.push_back(padded ? tensor::IndexSelectRows(rows, real) : rows);
              });
   return per_run.size() == 1 ? per_run.front() : tensor::Concat(per_run, 0);
-}
-
-Tensor Backbone::BatchLoss(const std::vector<EncodedSentence>& sentences,
-                           const Tensor& phi,
-                           const std::vector<bool>& valid_tags) const {
-  FEWNER_CHECK(!sentences.empty(), "BatchLoss on zero sentences");
-  // The paper's task loss is the SUM of sentence NLLs (L = -Σ p(y|h), §3.2.3);
-  // the inner learning rate α = 0.1 is calibrated against this scale, so a
-  // mean here would silently shrink every inner step by the support size.
-  //
-  // Sentence i draws dropout from the (episode, call, lane i) stream — the
-  // stream the batched overload hands lane i — which is what makes the two
-  // overloads bitwise-interchangeable.
-  std::vector<util::Rng> lane_rngs = ForkLaneRngs(sentences.size());
-  Tensor total;
-  for (size_t i = 0; i < sentences.size(); ++i) {
-    const EncodedSentence& sentence = sentences[i];
-    FEWNER_CHECK(sentence.length() > 0, "BatchLoss on empty sentence");
-    const EncodedBatch single = PackBatch({sentence});
-    ForEachRun(&single, nullptr, phi, {lane_rngs[i]},
-               [&](const EncodedBatch& run, const Tensor& hidden) {
-                 Tensor loss = crf_->NegLogLikelihood(
-                     tensor::Reshape(Emissions(run, hidden),
-                                     Shape{sentence.length(), config_.max_tags}),
-                     sentence.tags, &valid_tags);
-                 total = total.defined() ? tensor::Add(total, loss) : loss;
-               });
-  }
-  return total;
 }
 
 Tensor Backbone::BatchLoss(const EncodedBatch& batch, const Tensor& phi,

@@ -105,20 +105,12 @@ class Backbone : public nn::Module {
   tensor::Tensor TokenFeatures(const EncodedBatch& batch,
                                const tensor::Tensor& phi) const;
 
-  /// Summed NLL over a set of sentences (the task loss L_T of Eq. 5/6;
-  /// the paper defines L = -Σ p(y|h)), one B=1 batch per sentence — the
-  /// per-lane reference the batched overload is pinned against.  Sentence i
-  /// draws dropout from the per-lane stream (episode, call, lane i) — the
-  /// same stream the batched overload gives lane i — so the two overloads are
-  /// bitwise-interchangeable.
-  tensor::Tensor BatchLoss(const std::vector<EncodedSentence>& sentences,
-                           const tensor::Tensor& phi,
-                           const std::vector<bool>& valid_tags) const;
-
-  /// Batch-first task loss: one batched forward + one batched CRF NLL over
-  /// all lanes, folded in lane order with the same left-associated scalar
-  /// adds as the per-sentence overload.  This is the inner-loop fast path;
-  /// second-order meta-gradients flow through it like any other op chain.
+  /// Summed NLL over the batch's sentences (the task loss L_T of Eq. 5/6;
+  /// the paper defines L = -Σ p(y|h), and the inner learning rate is
+  /// calibrated against a sum, not a mean): one batched forward + one
+  /// batched CRF NLL over all lanes, folded in lane order with
+  /// left-associated scalar adds.  Second-order meta-gradients flow through
+  /// it like any other op chain.
   tensor::Tensor BatchLoss(const EncodedBatch& batch, const tensor::Tensor& phi,
                            const std::vector<bool>& valid_tags) const;
 
@@ -254,6 +246,9 @@ class Backbone : public nn::Module {
   /// the call counter decorrelates successive inner steps (and the query
   /// pass) while staying a pure function of (episode id, call index, lane).
   std::vector<util::Rng> ForkLaneRngs(size_t lanes) const;
+
+  /// Test-side oracles run the private run loop one sentence at a time.
+  friend struct BackboneTestPeer;
 
   BackboneConfig config_;
   std::unique_ptr<nn::Embedding> word_embedding_;

@@ -1,7 +1,9 @@
 #include "nn/char_cnn.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
+#include <tuple>
 
 #include "tensor/ops.h"
 
@@ -32,58 +34,55 @@ int64_t CharCnn::output_dim() const {
 
 Tensor CharCnn::ForwardBatch(const std::vector<std::vector<int64_t>>& chars) const {
   FEWNER_CHECK(!chars.empty(), "CharCnn::ForwardBatch on empty batch");
-  const int64_t n = static_cast<int64_t>(chars.size());
-  // Common padded char length: every token gets the same T so one [N, T, D]
-  // tensor covers the batch.  Each token's own padded length (what a one-word
-  // call uses) is max(|word|, max_width_); T is the max over tokens.
-  int64_t t_max = max_width_;
-  for (const auto& word : chars) {
-    t_max = std::max(t_max, static_cast<int64_t>(word.size()));
-  }
-  std::vector<int64_t> flat_ids(static_cast<size_t>(n * t_max), 0);
-  for (int64_t i = 0; i < n; ++i) {
-    const auto& word = chars[static_cast<size_t>(i)];
-    std::copy(word.begin(), word.end(),
-              flat_ids.begin() + static_cast<size_t>(i * t_max));
-  }
+  // A one-word call convolves over the word zero-padded to max(|word|,
+  // widest filter).  Sorting the tokens by (that length, ids) puts equal words
+  // side by side and equal padded lengths in contiguous buckets.
+  auto padded = [&](size_t tok) {
+    return std::max(static_cast<int64_t>(chars[tok].size()), max_width_);
+  };
+  std::vector<size_t> order(chars.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const int64_t ta = padded(a), tb = padded(b);
+    return std::tie(ta, chars[a]) < std::tie(tb, chars[b]);
+  });
 
-  Tensor embedded = char_embedding_->Forward(flat_ids);  // [N*T, char_dim]
-  Tensor embedded3 =
-      tensor::Reshape(embedded, Shape{n, t_max, config_.char_dim});
-
-  std::vector<Tensor> pooled;
-  pooled.reserve(filters_.size());
-  for (size_t i = 0; i < filters_.size(); ++i) {
-    const int64_t width = config_.filter_widths[i];
-    const int64_t m = t_max - width + 1;  // windows per token at common T
-    Tensor windows = tensor::UnfoldTimeBatch(embedded3, width);  // [N, M, w*D]
-    Tensor conv = tensor::Relu(filters_[i]->Forward(
-        tensor::Reshape(windows, Shape{n * m, width * config_.char_dim})));
-    Tensor conv3 =
-        tensor::Reshape(conv, Shape{n, m, config_.filters_per_width});
-    // Windows past a token's own padded length exist only because other
-    // tokens are longer; sink them far below any ReLU output so the ascending
-    // max-over-time scan resolves to the same argmax as a one-word call.
-    // Valid windows get an exact +0.0f (bitwise identity on ReLU outputs).
-    std::vector<float> mask(static_cast<size_t>(n * m), 0.0f);
-    bool any_invalid = false;
-    for (int64_t tok = 0; tok < n; ++tok) {
-      const int64_t own_t = std::max(
-          static_cast<int64_t>(chars[static_cast<size_t>(tok)].size()),
-          max_width_);
-      for (int64_t w = own_t - width + 1; w < m; ++w) {
-        mask[static_cast<size_t>(tok * m + w)] = -1e30f;
-        any_invalid = true;
+  // Per bucket: one gather of its distinct words, then one
+  // Unfold→Linear→ReLU→max per filter width.  No window crosses a word's
+  // padded end, so each row is bitwise-equal to a one-word call.
+  std::vector<int64_t> row_of(chars.size());  // token → distinct-word row
+  std::vector<Tensor> buckets;
+  int64_t rows = 0;
+  for (size_t i = 0; i < order.size();) {
+    const int64_t t = padded(order[i]);
+    std::vector<int64_t> ids;  // the bucket's distinct words, each padded to t
+    for (; i < order.size() && padded(order[i]) == t; ++i) {
+      const auto& word = chars[order[i]];
+      if (ids.empty() || word != chars[order[i - 1]]) {
+        ids.insert(ids.end(), word.begin(), word.end());
+        ids.resize(ids.size() + static_cast<size_t>(t) - word.size(), 0);
+        ++rows;
       }
+      row_of[order[i]] = rows - 1;
     }
-    Tensor masked = conv3;
-    if (any_invalid) {
-      masked = tensor::Add(
-          conv3, Tensor::FromData(Shape{n, m, 1}, std::move(mask)));
+    const auto n = static_cast<int64_t>(ids.size()) / t;
+    Tensor embedded = tensor::Reshape(char_embedding_->Forward(ids),
+                                      Shape{n, t, config_.char_dim});
+    std::vector<Tensor> pooled;
+    for (size_t f = 0; f < filters_.size(); ++f) {
+      const int64_t width = config_.filter_widths[f];
+      const int64_t m = t - width + 1;
+      Tensor windows = tensor::UnfoldTimeBatch(embedded, width);  // [n, m, w*D]
+      Tensor conv = tensor::Relu(filters_[f]->Forward(
+          tensor::Reshape(windows, Shape{n * m, width * config_.char_dim})));
+      pooled.push_back(tensor::MaxAxis(
+          tensor::Reshape(conv, Shape{n, m, config_.filters_per_width}), 1,
+          /*keepdim=*/false));  // [n, F]
     }
-    pooled.push_back(tensor::MaxAxis(masked, 1, /*keepdim=*/false));  // [N, F]
+    buckets.push_back(tensor::Concat(pooled, 1));  // [n, output_dim]
   }
-  return tensor::Concat(pooled, 1);  // [N, output_dim]
+  Tensor words = buckets.size() == 1 ? buckets.front() : tensor::Concat(buckets, 0);
+  return tensor::IndexSelectRows(words, row_of);  // [chars.size(), output_dim]
 }
 
 }  // namespace fewner::nn

@@ -27,13 +27,14 @@ class CharCnn : public Module {
  public:
   CharCnn(const CharCnnConfig& config, util::Rng* rng);
 
-  /// Convolves all tokens of a padded batch in one shot: one embedding gather,
-  /// one GEMM per filter width over every window of every token.  `chars`
-  /// holds the character ids of all B*Lmax tokens in lane-major order (padding
-  /// tokens may be empty).  Returns [chars.size(), output_dim()], row i
-  /// bitwise-equal to a one-word call on chars[i]: windows that exist only
-  /// because of cross-token padding are pushed below zero with an additive
-  /// -1e30 before max-over-time, which never wins against a ReLU output.
+  /// Convolves each distinct word of a padded batch once.  `chars` holds the
+  /// character ids of all B*Lmax tokens in lane-major order (padding tokens
+  /// are the empty word).  The distinct words are bucketed by padded length
+  /// max(|word|, widest filter); each bucket gets one embedding gather and
+  /// one GEMM per filter width, and the bucket rows are gathered back to
+  /// token order (in graph mode that gather's backward sums the gradients of
+  /// repeated words).  Returns [chars.size(), output_dim()], row i
+  /// bitwise-equal to ForwardBatch({chars[i]}).
   tensor::Tensor ForwardBatch(const std::vector<std::vector<int64_t>>& chars) const;
 
   /// Total feature size: filter_widths.size() * filters_per_width.

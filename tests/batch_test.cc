@@ -24,6 +24,7 @@
 #include "meta/fewner.h"
 #include "models/backbone.h"
 #include "models/encoding.h"
+#include "reference_oracles.h"
 #include "tensor/autodiff.h"
 #include "tensor/eval_mode.h"
 #include "tensor/intraop.h"
@@ -363,7 +364,8 @@ TEST_F(BatchParityTest, EmissionsNllAndViterbiBitwiseEqualOn100RaggedEpisodes) {
       EXPECT_EQ(std::memcmp(&alone, &lane, sizeof(float)), 0)
           << "NLL lane " << b << " episode " << id;
     }
-    const float serial = net.BatchLoss(sentences, phi, valid_tags).item();
+    const float serial =
+        models::PerSentenceLoss(net, sentences, phi, valid_tags).item();
     const float fused = net.BatchLoss(batch, phi, valid_tags).item();
     EXPECT_EQ(std::memcmp(&serial, &fused, sizeof(float)), 0)
         << "task loss, episode " << id;
@@ -399,7 +401,8 @@ TEST_F(BatchParityTest, TrainingModeDropoutLossesAgreeBitwise) {
     Tensor phi = net.ZeroContext();
 
     net.ReseedDropout(id);
-    const float serial = net.BatchLoss(sentences, phi, valid_tags).item();
+    const float serial =
+        models::PerSentenceLoss(net, sentences, phi, valid_tags).item();
     net.ReseedDropout(id);
     const float fused = net.BatchLoss(batch, phi, valid_tags).item();
     EXPECT_EQ(std::memcmp(&serial, &fused, sizeof(float)), 0)
@@ -435,12 +438,12 @@ TEST_F(BatchParityTest, MetaGradientsMatchPerSentencePathToTolerance) {
     Tensor phi = net.ZeroContext();
     for (int k = 0; k < 2; ++k) {
       Tensor loss = batched ? net.BatchLoss(support_batch, phi, valid_tags)
-                            : net.BatchLoss(support, phi, valid_tags);
+                            : models::PerSentenceLoss(net, support, phi, valid_tags);
       Tensor g = Grad(loss, {phi}, /*create_graph=*/true)[0];
       phi = tensor::Sub(phi, tensor::MulScalar(g, 0.05f));
     }
     Tensor query_loss = batched ? net.BatchLoss(query_batch, phi, valid_tags)
-                                : net.BatchLoss(query, phi, valid_tags);
+                                : models::PerSentenceLoss(net, query, phi, valid_tags);
     return Grad(query_loss, nn::ParameterTensors(&net));
   };
 

@@ -10,6 +10,7 @@
 
 #include "crf/linear_chain_crf.h"
 #include "nn/module.h"
+#include "reference_oracles.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -168,63 +169,6 @@ TEST_F(CrfTest, GradCheckTransitions) {
     (*values)[static_cast<size_t>(i)] = saved;
     EXPECT_NEAR(g[0].at(i), (lp - lm) / (2 * eps), 2e-2) << "transition " << i;
   }
-}
-
-/// The single-sentence NLL over emissions [L, Y], built op for op from
-/// tensor primitives: invalid tags crushed by a -1e7 additive mask (a zero
-/// mask without `valid`), the log-space forward algorithm over [to, from]
-/// scores (alpha plus a transitionsᵀ hoisted out of the time loop), and the
-/// gold path scored through constant selection masks.  The library keeps only
-/// the batched recursion; this is the independent reference it is pinned
-/// against.  The transpose is hoisted because a per-timestep
-/// Transpose(alpha column + transitions) — the textbook layout — gives the
-/// same NLL but sums the transitions gradient in a different order, which
-/// differs in the last bits from L = 4 on.
-Tensor SingleSentenceNll(const Tensor& emissions, const std::vector<int64_t>& gold,
-                   const std::vector<bool>* valid, const Tensor& trans,
-                   const Tensor& start, const Tensor& end) {
-  const int64_t length = emissions.shape().dim(0);
-  const int64_t y = emissions.shape().dim(1);
-  std::vector<float> crush(static_cast<size_t>(y), 0.0f);
-  for (int64_t j = 0; valid != nullptr && j < y; ++j) {
-    if (!(*valid)[static_cast<size_t>(j)]) crush[static_cast<size_t>(j)] = -1e7f;
-  }
-  Tensor masked = tensor::Add(emissions, Tensor::FromData(Shape{y}, std::move(crush)));
-  Tensor alpha = tensor::Add(tensor::Reshape(start, Shape{1, y}),
-                             tensor::Slice(masked, 0, 0, 1));
-  Tensor trans_by_to = tensor::Transpose(trans);  // [to, from]
-  for (int64_t t = 1; t < length; ++t) {
-    Tensor by_to = tensor::Add(tensor::Reshape(alpha, Shape{y}), trans_by_to);
-    Tensor lse = tensor::Reshape(tensor::LogSumExpLastDim(by_to), Shape{1, y});
-    alpha = tensor::Add(lse, tensor::Slice(masked, 0, t, 1));
-  }
-  Tensor log_z = tensor::Reshape(
-      tensor::LogSumExpLastDim(tensor::Add(alpha, end)), Shape{});
-
-  std::vector<float> emit_mask(static_cast<size_t>(length * y), 0.0f);
-  for (int64_t t = 0; t < length; ++t) {
-    emit_mask[static_cast<size_t>(t * y + gold[static_cast<size_t>(t)])] = 1.0f;
-  }
-  std::vector<float> trans_count(static_cast<size_t>(y * y), 0.0f);
-  for (int64_t t = 1; t < length; ++t) {
-    trans_count[static_cast<size_t>(gold[static_cast<size_t>(t - 1)] * y +
-                                    gold[static_cast<size_t>(t)])] += 1.0f;
-  }
-  std::vector<float> start_mask(static_cast<size_t>(y), 0.0f);
-  start_mask[static_cast<size_t>(gold.front())] = 1.0f;
-  std::vector<float> end_mask(static_cast<size_t>(y), 0.0f);
-  end_mask[static_cast<size_t>(gold.back())] = 1.0f;
-  Tensor gold_score = tensor::Add(
-      tensor::Add(
-          tensor::SumAll(tensor::Mul(
-              masked, Tensor::FromData(Shape{length, y}, std::move(emit_mask)))),
-          tensor::SumAll(tensor::Mul(
-              trans, Tensor::FromData(Shape{y, y}, std::move(trans_count))))),
-      tensor::Add(tensor::SumAll(tensor::Mul(
-                      start, Tensor::FromData(Shape{y}, std::move(start_mask)))),
-                  tensor::SumAll(tensor::Mul(
-                      end, Tensor::FromData(Shape{y}, std::move(end_mask))))));
-  return tensor::Sub(log_z, gold_score);
 }
 
 bool SameBits(const float* a, const float* b, size_t n) {

@@ -1,13 +1,12 @@
 // Tests for the extension features: CoNLL I/O, slot-filling corpus, BiLSTM
-// encoder, CRF k-best + marginals, serialization of whole methods, and the
-// Reptile / MatchingNet baselines.
+// encoder, serialization of whole methods, and the Reptile / MatchingNet
+// baselines.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
 
-#include "crf/linear_chain_crf.h"
 #include "data/conll.h"
 #include "data/slot_filling.h"
 #include "meta/matching_net.h"
@@ -164,75 +163,6 @@ TEST(LstmTest, GradCheckThroughTime) {
                                         lstm, Tensor::FromData(x.shape(), minus))))
                          .item();
     EXPECT_NEAR(g[0].at(i), (lp - lm) / (2 * eps), 5e-2) << "element " << i;
-  }
-}
-
-// ----------------------------------------------------- CRF k-best / marginals
-
-TEST(CrfKBestTest, FirstPathMatchesViterbiAndOrderingHolds) {
-  crf::LinearChainCrf crf(3);
-  util::Rng rng(11);
-  for (tensor::Tensor* p : crf.Parameters()) {
-    for (float& v : *p->mutable_data()) v = static_cast<float>(rng.Gaussian(0, 0.5));
-  }
-  Tensor emissions = Tensor::Randn(Shape{4, 3}, &rng);
-  auto paths = crf.ViterbiKBest(emissions, 5);
-  ASSERT_GE(paths.size(), 2u);
-  EXPECT_EQ(paths[0].tags, crf.Viterbi(emissions));
-  for (size_t i = 1; i < paths.size(); ++i) {
-    EXPECT_LE(paths[i].score, paths[i - 1].score + 1e-5f);
-    EXPECT_NE(paths[i].tags, paths[i - 1].tags);
-  }
-}
-
-TEST(CrfKBestTest, ExhaustsSmallPathSpaces) {
-  crf::LinearChainCrf crf(2);
-  util::Rng rng(13);
-  Tensor emissions = Tensor::Randn(Shape{2, 2}, &rng);
-  auto paths = crf.ViterbiKBest(emissions, 100);
-  EXPECT_EQ(paths.size(), 4u);  // 2^2 distinct paths
-}
-
-TEST(CrfMarginalsTest, RowsSumToOneAndAgreeWithEnumeration) {
-  crf::LinearChainCrf crf(3);
-  util::Rng rng(17);
-  for (tensor::Tensor* p : crf.Parameters()) {
-    for (float& v : *p->mutable_data()) v = static_cast<float>(rng.Gaussian(0, 0.5));
-  }
-  Tensor emissions = Tensor::Randn(Shape{3, 3}, &rng);
-  auto marginals = crf.Marginals(emissions);
-  ASSERT_EQ(marginals.size(), 3u);
-  for (const auto& row : marginals) {
-    double total = 0;
-    for (double p : row) total += p;
-    EXPECT_NEAR(total, 1.0, 1e-4);
-  }
-  // Enumerated check: P(y_1 = 2) from all 27 paths' probabilities.
-  double target = 0;
-  std::vector<int64_t> path(3, 0);
-  for (;;) {
-    const double p = std::exp(-crf.NegLogLikelihood(emissions, path).item());
-    if (path[1] == 2) target += p;
-    int pos = 2;
-    while (pos >= 0) {
-      if (++path[static_cast<size_t>(pos)] < 3) break;
-      path[static_cast<size_t>(pos)] = 0;
-      --pos;
-    }
-    if (pos < 0) break;
-  }
-  EXPECT_NEAR(marginals[1][2], target, 1e-3);
-}
-
-TEST(CrfMarginalsTest, MaskedTagsGetZeroMass) {
-  crf::LinearChainCrf crf(3);
-  util::Rng rng(19);
-  Tensor emissions = Tensor::Randn(Shape{4, 3}, &rng);
-  std::vector<bool> valid = {true, false, true};
-  auto marginals = crf.Marginals(emissions, &valid);
-  for (const auto& row : marginals) {
-    EXPECT_EQ(row[1], 0.0);
-    EXPECT_NEAR(row[0] + row[2], 1.0, 1e-4);
   }
 }
 

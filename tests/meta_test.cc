@@ -19,6 +19,7 @@
 #include "meta/protonet.h"
 #include "meta/snail.h"
 #include "models/lm_encoder.h"
+#include "reference_oracles.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
 #include "text/bio.h"
@@ -107,11 +108,15 @@ TEST_F(MetaTest, FewnerInnerLoopReducesSupportLoss) {
   models::EncodedEpisode episode = EncodeEpisode(0);
   Tensor phi0 = fewner.backbone()->ZeroContext();
   const float before =
-      fewner.backbone()->BatchLoss(episode.support, phi0, episode.valid_tags).item();
+      models::PerSentenceLoss(*fewner.backbone(), episode.support, phi0,
+                              episode.valid_tags)
+          .item();
   Tensor phi = fewner.AdaptContext(episode.support, episode.valid_tags, 6, 0.1f,
                                    /*create_graph=*/false);
   const float after =
-      fewner.backbone()->BatchLoss(episode.support, phi, episode.valid_tags).item();
+      models::PerSentenceLoss(*fewner.backbone(), episode.support, phi,
+                              episode.valid_tags)
+          .item();
   EXPECT_LT(after, before);
 }
 
@@ -163,14 +168,16 @@ TEST_F(MetaTest, MamlInnerAdaptReducesSupportLossAndRestores) {
   models::EncodedEpisode episode = EncodeEpisode(0);
   auto snapshot = nn::SnapshotParameterValues(maml.backbone());
   const float before =
-      maml.backbone()->BatchLoss(episode.support, Tensor(), episode.valid_tags).item();
+      models::PerSentenceLoss(*maml.backbone(), episode.support, Tensor(),
+                              episode.valid_tags)
+          .item();
   auto adapted = maml.InnerAdapt(episode.support, episode.valid_tags, 4, 0.1f,
                                  /*create_graph=*/false);
   float after = 0;
   {
     nn::ParameterPatch patch(maml.backbone()->Parameters(), adapted);
-    after = maml.backbone()
-                ->BatchLoss(episode.support, Tensor(), episode.valid_tags)
+    after = models::PerSentenceLoss(*maml.backbone(), episode.support, Tensor(),
+                                    episode.valid_tags)
                 .item();
   }
   EXPECT_LT(after, before);
@@ -238,14 +245,14 @@ std::vector<float> PhiGradientByFiniteDifference(
     up[static_cast<size_t>(i)] = static_cast<float>(h);
     down[static_cast<size_t>(i)] = static_cast<float>(-h);
     const float loss_up =
-        net.BatchLoss(support,
-                      Tensor::FromData(tensor::Shape{dim}, std::move(up)),
-                      valid_tags)
+        models::PerSentenceLoss(net, support,
+                                Tensor::FromData(tensor::Shape{dim}, std::move(up)),
+                                valid_tags)
             .item();
     const float loss_down =
-        net.BatchLoss(support,
-                      Tensor::FromData(tensor::Shape{dim}, std::move(down)),
-                      valid_tags)
+        models::PerSentenceLoss(net, support,
+                                Tensor::FromData(tensor::Shape{dim}, std::move(down)),
+                                valid_tags)
             .item();
     grad[static_cast<size_t>(i)] =
         static_cast<float>((loss_up - loss_down) / (2.0 * h));

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <optional>
 
 #include "nn/attention.h"
 #include "nn/char_cnn.h"
@@ -14,6 +17,7 @@
 #include "nn/module.h"
 #include "nn/optim.h"
 #include "tensor/autodiff.h"
+#include "tensor/eval_mode.h"
 #include "tensor/ops.h"
 
 namespace fewner::nn {
@@ -207,6 +211,145 @@ TEST(CharCnnTest, SuffixSensitivity) {
     return d;
   };
   EXPECT_LT(dist(a, b), dist(a, c));
+}
+
+TEST(CharCnnTest, DistinctWordBucketsMatchOneWordCallsBitwise) {
+  // ForwardBatch convolves each distinct word once, in buckets of equal
+  // padded length max(|word|, widest filter), and gathers the rows back to
+  // token order.  A seeded sweep over ragged batches with repeated words,
+  // empty pad tokens, words shorter than the widest filter and one word much
+  // longer than the rest requires every row to be bitwise-equal to a
+  // one-word call on its token, in eval and in graph mode.  In graph mode the
+  // parameter gradients of a weighted row sum must equal the sum of the
+  // per-token one-word gradients to tolerance, and central finite
+  // differences spot-check them.
+  util::Rng rng(0xC4A2);
+  CharCnnConfig config;
+  config.char_vocab_size = 24;
+  config.char_dim = 5;
+  config.filter_widths = {2, 3, 4};
+  config.filters_per_width = 3;
+  CharCnn cnn(config, &rng);
+  const int64_t d = cnn.output_dim();
+  const std::vector<Tensor> params = ParameterTensors(&cnn);
+  auto random_word = [&](int64_t min_len, int64_t max_len) {
+    const auto len = min_len + static_cast<int64_t>(rng.UniformInt(
+                                   static_cast<uint64_t>(max_len - min_len + 1)));
+    std::vector<int64_t> word(static_cast<size_t>(len));
+    for (int64_t& c : word) c = 1 + static_cast<int64_t>(rng.UniformInt(23));
+    return word;
+  };
+  // The one-word CharCNN built from public ops: the word zero-padded to
+  // max(|word|, widest filter), one window matrix per width, ReLU, max over
+  // windows.  Pins what a one-word call computes.
+  const std::vector<Tensor*> slots = cnn.Parameters();  // table, (W, b) per width
+  auto one_word_reference = [&](const std::vector<int64_t>& word) {
+    std::vector<int64_t> ids = word;
+    ids.resize(std::max<size_t>(word.size(), 4), 0);
+    const auto t = static_cast<int64_t>(ids.size());
+    const Tensor embedded = tensor::Reshape(tensor::IndexSelectRows(*slots[0], ids),
+                                            Shape{1, t, config.char_dim});
+    std::vector<Tensor> pooled;
+    for (size_t f = 0; f < config.filter_widths.size(); ++f) {
+      const int64_t w = config.filter_widths[f];
+      const Tensor windows = tensor::Reshape(tensor::UnfoldTimeBatch(embedded, w),
+                                             Shape{t - w + 1, w * config.char_dim});
+      pooled.push_back(tensor::MaxAxis(
+          tensor::Relu(tensor::Add(tensor::MatMul(windows, *slots[1 + 2 * f]),
+                                   *slots[2 + 2 * f])),
+          0, /*keepdim=*/false));
+    }
+    return tensor::Concat(pooled, 0);  // [output_dim]
+  };
+  for (int trial = 0; trial < 12; ++trial) {
+    // Tokens drawn with repeats from a few words: the pad token, a
+    // one-character word, and words of 1..7 characters.
+    std::vector<std::vector<int64_t>> words = {{}, random_word(1, 1)};
+    for (int w = 0; w < 5; ++w) words.push_back(random_word(1, 7));
+    const auto n = static_cast<int64_t>(8 + rng.UniformInt(16));
+    std::vector<std::vector<int64_t>> chars;
+    for (int64_t i = 0; i < n; ++i) {
+      chars.push_back(words[rng.UniformInt(words.size())]);
+    }
+    chars.push_back({});
+    chars.insert(chars.begin() + static_cast<int64_t>(rng.UniformInt(chars.size())),
+                 random_word(15, 20));
+    const auto tokens = static_cast<int64_t>(chars.size());
+
+    for (bool eval : {true, false}) {
+      std::optional<tensor::EvalMode> mode;
+      if (eval) mode.emplace();
+      const Tensor batch = cnn.ForwardBatch(chars);
+      ASSERT_EQ(batch.shape(), (Shape{tokens, d}));
+      for (int64_t i = 0; i < tokens; ++i) {
+        const auto& word = chars[static_cast<size_t>(i)];
+        for (const Tensor& alone : {cnn.ForwardBatch({word}), one_word_reference(word)}) {
+          EXPECT_EQ(std::memcmp(batch.data().data() + i * d, alone.data().data(),
+                                static_cast<size_t>(d) * sizeof(float)),
+                    0)
+              << "trial " << trial << " token " << i << (eval ? " eval" : " graph");
+        }
+      }
+    }
+
+    // Graph mode: loss = Σ_i <weights_i, row_i>.  Duplicated words share one
+    // convolution, so their gradients must add up as in per-token calls.
+    const Tensor weights = Tensor::Randn(Shape{tokens, d}, &rng);
+    auto loss_of = [&]() {
+      return tensor::SumAll(tensor::Mul(cnn.ForwardBatch(chars), weights));
+    };
+    const std::vector<Tensor> grads = Grad(loss_of(), params);
+    std::vector<std::vector<double>> expected(params.size());
+    for (size_t p = 0; p < params.size(); ++p) {
+      expected[p].assign(static_cast<size_t>(params[p].numel()), 0.0);
+    }
+    for (int64_t i = 0; i < tokens; ++i) {
+      const Tensor row_loss = tensor::SumAll(
+          tensor::Mul(cnn.ForwardBatch({chars[static_cast<size_t>(i)]}),
+                      tensor::Slice(weights, 0, i, 1)));
+      const std::vector<Tensor> row_grads = Grad(row_loss, params);
+      for (size_t p = 0; p < params.size(); ++p) {
+        for (int64_t j = 0; j < params[p].numel(); ++j) {
+          expected[p][static_cast<size_t>(j)] += row_grads[p].at(j);
+        }
+      }
+    }
+    double max_abs = 0.0;
+    for (size_t p = 0; p < params.size(); ++p) {
+      for (int64_t j = 0; j < params[p].numel(); ++j) {
+        const double want = expected[p][static_cast<size_t>(j)];
+        max_abs = std::max(max_abs, std::abs(want));
+        EXPECT_NEAR(grads[p].at(j), want, 1e-4 + 1e-4 * std::abs(want))
+            << "trial " << trial << " parameter " << p << " element " << j;
+      }
+    }
+    EXPECT_GT(max_abs, 1e-3) << "gradients vanished; the check is vacuous";
+
+    // Finite differences on two elements of every parameter tensor.  The
+    // loss is piecewise linear in each parameter (ReLU, max over windows), so
+    // a probe may sit on or near a kink: the analytic gradient must match the
+    // forward or the backward one-sided difference.
+    const float eps = 1e-3f;
+    for (size_t p = 0; p < slots.size(); ++p) {
+      std::vector<float>* values = slots[p]->mutable_data();
+      for (int probe = 0; probe < 2; ++probe) {
+        const size_t j = rng.UniformInt(values->size());
+        const float saved = (*values)[j];
+        const float at = loss_of().item();
+        (*values)[j] = saved + eps;
+        const float forward = (loss_of().item() - at) / eps;
+        (*values)[j] = saved - eps;
+        const float backward = (at - loss_of().item()) / eps;
+        (*values)[j] = saved;
+        const float g = grads[p].at(static_cast<int64_t>(j));
+        EXPECT_TRUE(std::abs(g - forward) <= 2e-2 + 2e-2 * std::abs(forward) ||
+                    std::abs(g - backward) <= 2e-2 + 2e-2 * std::abs(backward))
+            << "trial " << trial << " parameter " << p << " element " << j
+            << ": autodiff " << g << ", one-sided differences " << forward
+            << " and " << backward;
+      }
+    }
+  }
 }
 
 TEST(GruTest, ShapesAndStatePropagation) {
