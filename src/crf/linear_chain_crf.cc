@@ -38,21 +38,6 @@ Tensor LinearChainCrf::ValidityMask(const std::vector<bool>* valid_tags) const {
   return Tensor::FromData(Shape{num_tags_}, std::move(mask));
 }
 
-Tensor LinearChainCrf::NegLogLikelihood(const Tensor& emissions,
-                                        const std::vector<int64_t>& tags,
-                                        const std::vector<bool>* valid_tags) const {
-  FEWNER_CHECK(emissions.rank() == 2 && emissions.shape().dim(1) == num_tags_,
-               "emissions must be [L, " << num_tags_ << "], got "
-                                        << emissions.shape().ToString());
-  const int64_t length = emissions.shape().dim(0);
-  FEWNER_CHECK(static_cast<int64_t>(tags.size()) == length,
-               "got " << tags.size() << " tags for " << length << " tokens");
-  return tensor::Reshape(
-      NegLogLikelihoodBatch(tensor::Reshape(emissions, Shape{1, length, num_tags_}),
-                            tags, {length}, valid_tags),
-      Shape{});
-}
-
 Tensor LinearChainCrf::NegLogLikelihoodBatch(
     const Tensor& emissions, const std::vector<int64_t>& tags,
     const std::vector<int64_t>& lengths, const std::vector<bool>* valid_tags) const {
@@ -160,15 +145,6 @@ Tensor LinearChainCrf::NegLogLikelihoodBatch(
       tensor::Add(tensor::Add(gold_emit, gold_trans), tensor::Add(gold_start, gold_end));
 
   return tensor::Sub(log_z, gold_score);  // [B]
-}
-
-std::vector<int64_t> LinearChainCrf::Viterbi(const Tensor& emissions,
-                                             const std::vector<bool>* valid_tags) const {
-  const int64_t length = emissions.shape().dim(0);
-  FEWNER_CHECK(emissions.rank() == 2 && emissions.shape().dim(1) == num_tags_,
-               "emissions must be [L, " << num_tags_ << "]");
-  FEWNER_CHECK(length > 0, "Viterbi on empty sentence");
-  return ViterbiCore(emissions.data().data(), length, valid_tags);
 }
 
 std::vector<std::vector<int64_t>> LinearChainCrf::ViterbiBatch(

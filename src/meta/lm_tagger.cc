@@ -31,15 +31,34 @@ Tensor LmCrfTagger::Features(const models::EncodedSentence& sentence) {
   return features;
 }
 
+Tensor LmCrfTagger::Emissions(const std::vector<models::EncodedSentence>& sentences,
+                              models::EncodedBatch* batch) {
+  *batch = models::PackBatch(sentences);
+  // One emission GEMM over every real token, lane after lane, scattered to
+  // the padded [B, Lmax] slots; padding rows stay zero.
+  std::vector<Tensor> features;
+  std::vector<int64_t> slots;
+  for (int64_t b = 0; b < batch->batch; ++b) {
+    features.push_back(Features(sentences[static_cast<size_t>(b)]));
+    for (int64_t t = 0; t < batch->lengths[static_cast<size_t>(b)]; ++t) {
+      slots.push_back(b * batch->max_len + t);
+    }
+  }
+  Tensor rows = head_.emission->Forward(tensor::Concat(features, 0));
+  return tensor::Reshape(
+      tensor::ScatterAddRows(rows, slots, batch->flat_size()),
+      tensor::Shape{batch->batch, batch->max_len, head_.crf->num_tags()});
+}
+
 Tensor LmCrfTagger::BatchLoss(const std::vector<models::EncodedSentence>& sentences,
                               const std::vector<bool>& valid_tags) {
-  Tensor total;
-  for (const auto& sentence : sentences) {
-    Tensor emissions = head_.emission->Forward(Features(sentence));
-    Tensor loss = head_.crf->NegLogLikelihood(emissions, sentence.tags, &valid_tags);
-    total = total.defined() ? tensor::Add(total, loss) : loss;
-  }
-  return tensor::MulScalar(total, 1.0f / static_cast<float>(sentences.size()));
+  models::EncodedBatch batch;
+  Tensor emissions = Emissions(sentences, &batch);
+  Tensor nll = head_.crf->NegLogLikelihoodBatch(emissions, batch.tags, batch.lengths,
+                                                &valid_tags);
+  // SumAllFloat folds the lanes with scalar float adds in sentence order.
+  return tensor::MulScalar(tensor::SumAllFloat(nll),
+                           1.0f / static_cast<float>(sentences.size()));
 }
 
 void LmCrfTagger::Train(const data::EpisodeSampler& sampler,
@@ -83,12 +102,10 @@ std::vector<std::vector<int64_t>> LmCrfTagger::AdaptAndPredict(
     nn::ClipGradNorm(&grads, 5.0f);
     sgd.Step(grads);
   }
-  std::vector<std::vector<int64_t>> predictions;
-  predictions.reserve(episode.query.size());
-  for (const auto& sentence : episode.query) {
-    Tensor emissions = head_.emission->Forward(Features(sentence)).Detach();
-    predictions.push_back(head_.crf->Viterbi(emissions, &episode.valid_tags));
-  }
+  models::EncodedBatch query;
+  Tensor emissions = Emissions(episode.query, &query).Detach();
+  std::vector<std::vector<int64_t>> predictions =
+      head_.crf->ViterbiBatch(emissions, query.lengths, &episode.valid_tags);
   nn::RestoreParameterValues(&head_, snapshot);
   return predictions;
 }

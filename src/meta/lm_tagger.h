@@ -38,13 +38,20 @@ class LmCrfTagger : public FewShotMethod {
   /// The trainable CRF stack (emission projection + CRF).
   nn::Module* head() { return &head_; }
 
+  /// The loss the head trains on: the mean CRF NLL over `sentences`, one
+  /// batched NLL over their packed lanes.
+  tensor::Tensor BatchLoss(const std::vector<models::EncodedSentence>& sentences,
+                           const std::vector<bool>& valid_tags);
+
  private:
   /// Frozen features for a sentence, cached by source pointer (the LM never
   /// changes after pre-training, so features are reusable across episodes).
   tensor::Tensor Features(const models::EncodedSentence& sentence);
 
-  tensor::Tensor BatchLoss(const std::vector<models::EncodedSentence>& sentences,
-                           const std::vector<bool>& valid_tags);
+  /// Emission scores [B, Lmax, max_tags] of `sentences` packed into `batch`;
+  /// padding rows are zero.
+  tensor::Tensor Emissions(const std::vector<models::EncodedSentence>& sentences,
+                           models::EncodedBatch* batch);
 
   /// The trainable CRF stack (emission projection + CRF).
   class Head : public nn::Module {

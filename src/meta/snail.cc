@@ -44,17 +44,8 @@ Snail::Snail(const models::BackboneConfig& config, util::Rng* rng) {
 
 Tensor Snail::Enrich(const Model& m, const models::EncodedBatch& batch) {
   Tensor features = m.backbone->TokenFeatures(batch, Tensor());  // [T, D]
-  // The TC blocks are causal convolutions over time, so each sentence runs
-  // them over its own rows.
-  std::vector<Tensor> enriched;
-  enriched.reserve(static_cast<size_t>(batch.batch));
-  int64_t offset = 0;
-  for (int64_t length : batch.lengths) {
-    enriched.push_back(
-        m.tc2->Forward(m.tc1->Forward(tensor::Slice(features, 0, offset, length))));
-    offset += length;
-  }
-  return enriched.size() == 1 ? enriched.front() : tensor::Concat(enriched, 0);
+  // The TC blocks convolve each packed sentence over its own rows.
+  return m.tc2->Forward(m.tc1->Forward(features, batch.lengths), batch.lengths);
 }
 
 Tensor Snail::QueryLogProbs(const Model& m, const models::EncodedEpisode& episode,

@@ -80,27 +80,19 @@ PretrainedLmEncoder::PretrainedLmEncoder(LmKind kind, const LmConfig& config,
       RegisterParameter("mask_embedding", &mask_embedding_);
     }
   } else if (kind == LmKind::kElmo) {
-    forward_gru_ =
-        std::make_unique<nn::GruCell>(config.model_dim, config.gru_hidden, rng);
-    backward_gru_ =
-        std::make_unique<nn::GruCell>(config.model_dim, config.gru_hidden, rng);
-    RegisterModule("forward_gru", forward_gru_.get());
-    RegisterModule("backward_gru", backward_gru_.get());
+    gru_ = std::make_unique<nn::BiGru>(config.model_dim, config.gru_hidden, rng);
+    RegisterModule("gru", gru_.get());
     vocab_head_ = std::make_unique<nn::Linear>(config.gru_hidden,
                                                word_vocab_->size(), rng);
     RegisterModule("vocab_head", vocab_head_.get());
   } else {  // kFlair
     char_embedding_ = std::make_unique<nn::Embedding>(char_vocab_->size(),
                                                       config.char_dim, rng);
-    char_forward_gru_ =
-        std::make_unique<nn::GruCell>(config.char_dim, config.gru_hidden, rng);
-    char_backward_gru_ =
-        std::make_unique<nn::GruCell>(config.char_dim, config.gru_hidden, rng);
+    gru_ = std::make_unique<nn::BiGru>(config.char_dim, config.gru_hidden, rng);
     char_head_ = std::make_unique<nn::Linear>(config.gru_hidden, char_vocab_->size(),
                                               rng);
     RegisterModule("char_embedding", char_embedding_.get());
-    RegisterModule("char_forward_gru", char_forward_gru_.get());
-    RegisterModule("char_backward_gru", char_backward_gru_.get());
+    RegisterModule("gru", gru_.get());
     RegisterModule("char_head", char_head_.get());
   }
 }
@@ -120,19 +112,25 @@ int64_t PretrainedLmEncoder::feature_dim() const {
 
 namespace {
 
-/// Runs a word-level GRU LM over embedded inputs; returns per-position states
-/// [L, H].  `reverse` runs right-to-left but returns states in textual order.
-Tensor RunGruLm(const nn::GruCell& cell, const Tensor& embedded, bool reverse) {
-  const int64_t length = embedded.shape().dim(0);
-  Tensor projected = cell.ProjectInput(embedded);
-  Tensor h = Tensor::Zeros(Shape{1, cell.hidden_dim()});
-  std::vector<Tensor> states(static_cast<size_t>(length));
-  for (int64_t step = 0; step < length; ++step) {
-    const int64_t t = reverse ? length - 1 - step : step;
-    h = cell.Step(tensor::Slice(projected, 0, t, 1), h);
-    states[static_cast<size_t>(t)] = h;
+/// Flair's character stream of a sentence: each word's characters (one
+/// <pad> for an empty word) followed by a <pad> separator, with the stream
+/// positions of every word's first and last character.
+struct CharStream {
+  std::vector<int64_t> ids;
+  std::vector<int64_t> word_start;
+  std::vector<int64_t> word_end;
+};
+
+CharStream BuildCharStream(const EncodedSentence& sentence) {
+  CharStream stream;
+  for (const auto& chars : sentence.char_ids) {
+    stream.word_start.push_back(static_cast<int64_t>(stream.ids.size()));
+    stream.ids.insert(stream.ids.end(), chars.begin(), chars.end());
+    if (chars.empty()) stream.ids.push_back(text::kPadId);
+    stream.word_end.push_back(static_cast<int64_t>(stream.ids.size()) - 1);
+    stream.ids.push_back(text::kPadId);  // separator
   }
-  return tensor::Concat(states, 0);
+  return stream;
 }
 
 std::vector<int64_t> ReversedIndices(int64_t length) {
@@ -182,6 +180,30 @@ Tensor PretrainedLmEncoder::CrossEntropy(const Tensor& logits,
   return tensor::MulScalar(tensor::Neg(gold), 1.0f / static_cast<float>(predicted));
 }
 
+Tensor PretrainedLmEncoder::GruStates(const Tensor& embedded) const {
+  // A B=1 batch of the shared BiGRU: forward states in columns [0, H),
+  // backward states in [H, 2H), both in textual order.
+  const int64_t length = embedded.shape().dim(0);
+  Tensor states = gru_->ForwardBatch(
+      tensor::Reshape(embedded, Shape{1, length, embedded.shape().dim(1)}), {length});
+  return tensor::Reshape(states, Shape{length, gru_->output_dim()});
+}
+
+Tensor PretrainedLmEncoder::BidirectionalLoss(const Tensor& states,
+                                              const std::vector<int64_t>& ids,
+                                              const nn::Linear& head) const {
+  const int64_t length = static_cast<int64_t>(ids.size());
+  const int64_t hidden = config_.gru_hidden;
+  Tensor fwd = tensor::Slice(tensor::Slice(states, 1, 0, hidden), 0, 0, length - 1);
+  Tensor bwd =
+      tensor::Slice(tensor::Slice(states, 1, hidden, hidden), 0, 1, length - 1);
+  const std::vector<int64_t> next(ids.begin() + 1, ids.end());
+  const std::vector<int64_t> prev(ids.begin(), ids.end() - 1);
+  Tensor loss_f = CrossEntropy(head.Forward(fwd), next, nullptr);
+  Tensor loss_b = CrossEntropy(head.Forward(bwd), prev, nullptr);
+  return tensor::MulScalar(tensor::Add(loss_f, loss_b), 0.5f);
+}
+
 Tensor PretrainedLmEncoder::Encode(const EncodedSentence& sentence) const {
   const int64_t length = sentence.length();
   FEWNER_CHECK(length > 0, "Encode on empty sentence");
@@ -200,31 +222,19 @@ Tensor PretrainedLmEncoder::Encode(const EncodedSentence& sentence) const {
       Tensor b = TransformerFeatures(sentence.word_ids, rev, true);
       return tensor::MulScalar(tensor::Add(a, b), 0.5f);
     }
-    case LmKind::kElmo: {
-      Tensor embedded = word_embedding_->Forward(sentence.word_ids);
-      Tensor fwd = RunGruLm(*forward_gru_, embedded, false);
-      Tensor bwd = RunGruLm(*backward_gru_, embedded, true);
-      return tensor::Concat({fwd, bwd}, 1);
-    }
+    case LmKind::kElmo:
+      return GruStates(word_embedding_->Forward(sentence.word_ids));
     case LmKind::kFlair: {
-      // Character stream with <pad> as the inter-word separator; word features
-      // are forward states at word ends + backward states at word starts.
-      std::vector<int64_t> stream;
-      std::vector<int64_t> word_end, word_start;
-      for (int64_t w = 0; w < length; ++w) {
-        word_start.push_back(static_cast<int64_t>(stream.size()));
-        const auto& chars = sentence.char_ids[static_cast<size_t>(w)];
-        stream.insert(stream.end(), chars.begin(), chars.end());
-        if (chars.empty()) stream.push_back(text::kPadId);
-        word_end.push_back(static_cast<int64_t>(stream.size()) - 1);
-        stream.push_back(text::kPadId);  // separator
-      }
-      Tensor embedded = char_embedding_->Forward(stream);
-      Tensor fwd = RunGruLm(*char_forward_gru_, embedded, false);
-      Tensor bwd = RunGruLm(*char_backward_gru_, embedded, true);
-      return tensor::Concat({tensor::IndexSelectRows(fwd, word_end),
-                             tensor::IndexSelectRows(bwd, word_start)},
-                            1);
+      // Word features are forward states at word ends + backward states at
+      // word starts.
+      const CharStream stream = BuildCharStream(sentence);
+      Tensor states = GruStates(char_embedding_->Forward(stream.ids));
+      const int64_t hidden = config_.gru_hidden;
+      return tensor::Concat(
+          {tensor::IndexSelectRows(tensor::Slice(states, 1, 0, hidden), stream.word_end),
+           tensor::IndexSelectRows(tensor::Slice(states, 1, hidden, hidden),
+                                   stream.word_start)},
+          1);
     }
   }
   FEWNER_CHECK(false, "unreachable");
@@ -296,33 +306,13 @@ Tensor PretrainedLmEncoder::LmLoss(const EncodedSentence& sentence) const {
       for (const auto& block : blocks_) x = block->Forward(x);
       return CrossEntropy(vocab_head_->Forward(x), sentence.word_ids, &masked);
     }
-    case LmKind::kElmo: {
-      Tensor embedded = word_embedding_->Forward(sentence.word_ids);
-      Tensor fwd = RunGruLm(*forward_gru_, embedded, false);
-      Tensor bwd = RunGruLm(*backward_gru_, embedded, true);
-      std::vector<int64_t> next(sentence.word_ids.begin() + 1,
-                                sentence.word_ids.end());
-      std::vector<int64_t> prev(sentence.word_ids.begin(),
-                                sentence.word_ids.end() - 1);
-      Tensor loss_f = CrossEntropy(
-          vocab_head_->Forward(tensor::Slice(fwd, 0, 0, length - 1)), next, nullptr);
-      Tensor loss_b = CrossEntropy(
-          vocab_head_->Forward(tensor::Slice(bwd, 0, 1, length - 1)), prev, nullptr);
-      return tensor::MulScalar(tensor::Add(loss_f, loss_b), 0.5f);
-    }
+    case LmKind::kElmo:
+      return BidirectionalLoss(GruStates(word_embedding_->Forward(sentence.word_ids)),
+                               sentence.word_ids, *vocab_head_);
     case LmKind::kFlair: {
-      std::vector<int64_t> stream;
-      for (const auto& chars : sentence.char_ids) {
-        stream.insert(stream.end(), chars.begin(), chars.end());
-        stream.push_back(text::kPadId);
-      }
-      const int64_t t_len = static_cast<int64_t>(stream.size());
-      FEWNER_CHECK(t_len >= 2, "Flair LM loss needs two characters");
-      Tensor embedded = char_embedding_->Forward(stream);
-      Tensor fwd = RunGruLm(*char_forward_gru_, embedded, false);
-      std::vector<int64_t> next(stream.begin() + 1, stream.end());
-      return CrossEntropy(
-          char_head_->Forward(tensor::Slice(fwd, 0, 0, t_len - 1)), next, nullptr);
+      const CharStream stream = BuildCharStream(sentence);
+      return BidirectionalLoss(GruStates(char_embedding_->Forward(stream.ids)),
+                               stream.ids, *char_head_);
     }
   }
   FEWNER_CHECK(false, "unreachable");

