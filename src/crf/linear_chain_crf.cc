@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "nn/rnn.h"
 #include "tensor/ops.h"
 
 namespace fewner::crf {
@@ -78,6 +79,7 @@ Tensor LinearChainCrf::NegLogLikelihoodBatch(
   // pins every lane's NLL and gradients bitwise against a single-sentence
   // recursion.
   Tensor trans_by_to = tensor::Transpose(transitions_);  // [to, from]
+  const nn::LaneCarry carry(lengths, max_len);
   for (int64_t t = 1; t < max_len; ++t) {
     Tensor by_to = tensor::Add(tensor::Reshape(alpha, Shape{lanes, 1, num_tags_}),
                                trans_by_to);  // [B, to, from]
@@ -85,19 +87,7 @@ Tensor LinearChainCrf::NegLogLikelihoodBatch(
                                  Shape{lanes, num_tags_});
     Tensor alpha_new = tensor::Add(lse, emissions_at(t));  // [B, Y]
     // Finished lanes carry their final alpha through unchanged (exact copy).
-    std::vector<float> active(static_cast<size_t>(lanes), 0.0f);
-    bool all_active = true;
-    for (int64_t b = 0; b < lanes; ++b) {
-      if (t < lengths[static_cast<size_t>(b)]) {
-        active[static_cast<size_t>(b)] = 1.0f;
-      } else {
-        all_active = false;
-      }
-    }
-    alpha = all_active
-                ? alpha_new
-                : tensor::Where(Tensor::FromData(Shape{lanes, 1}, std::move(active)),
-                                alpha_new, alpha);
+    alpha = carry.Select(t, alpha_new, alpha);
   }
   Tensor final_scores = tensor::Add(alpha, end_);  // [B, Y], trailing broadcast
   Tensor log_z = tensor::Reshape(tensor::LogSumExpLastDim(final_scores),

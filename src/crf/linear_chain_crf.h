@@ -30,8 +30,9 @@ class LinearChainCrf : public nn::Module {
   /// [lengths[b], num_tags] slice alone (one sentence is B=1).  Tags marked
   /// invalid in `valid_tags` (num_tags entries, when non-null) are excluded
   /// from the partition function.  The masked log-space forward runs one
-  /// batched step per timestep, finished lanes carrying alpha through an exact
-  /// Where select; the gold score sums per lane in SumAll's order.
+  /// batched step per timestep, finished lanes carrying alpha through
+  /// nn::LaneCarry (an exact Where select); the gold score sums per lane in
+  /// SumAll's order.
   tensor::Tensor NegLogLikelihoodBatch(const tensor::Tensor& emissions,
                                        const std::vector<int64_t>& tags,
                                        const std::vector<int64_t>& lengths,

@@ -14,36 +14,35 @@ namespace fewner::meta {
 
 using tensor::Tensor;
 
-namespace {
-
-/// The φ-descent loop (Eq. 5) shared by the cached and uncached paths; only
-/// the support-loss forward differs between them.
-Tensor DescendPhi(Tensor phi, int64_t steps, float inner_lr, bool create_graph,
-                  const std::function<Tensor(const Tensor&)>& support_loss) {
+std::vector<Tensor> ClippedDescent(
+    std::vector<Tensor> params, int64_t steps, float lr, bool create_graph,
+    const std::function<Tensor(const std::vector<Tensor>&)>& loss) {
   for (int64_t k = 0; k < steps; ++k) {
-    Tensor loss = support_loss(phi);
-    // Eq. 5: gradient w.r.t. the previous φ only — θ stays fixed here, but
-    // with create_graph the inner gradient keeps its dependence on θ, which
-    // is what the outer update differentiates through.
-    Tensor grad = tensor::autodiff::Grad(loss, {phi}, create_graph)[0];
-    // Detached global-norm cap (paper's clip of 5.0) keeps the summed task
-    // loss from producing destabilizing inner steps.
+    // FEWNER's Eq. 5 takes the gradient w.r.t. the previous φ only — θ stays
+    // fixed, but with create_graph the inner gradient keeps its dependence on
+    // θ, which is what the outer update differentiates through.
+    std::vector<Tensor> grads =
+        tensor::autodiff::Grad(loss(params), params, create_graph);
+    // Detached global-norm cap: the summed task loss can otherwise produce
+    // destabilizing inner steps.
     double norm_sq = 0.0;
-    for (float v : grad.data()) norm_sq += static_cast<double>(v) * v;
+    for (const Tensor& g : grads) {
+      for (float v : g.data()) norm_sq += static_cast<double>(v) * v;
+    }
     const float norm = static_cast<float>(std::sqrt(norm_sq));
     const float clip_scale = norm > 5.0f ? 5.0f / norm : 1.0f;
-    phi = tensor::Sub(phi, tensor::MulScalar(grad, inner_lr * clip_scale));
-    if (!create_graph) {
-      // Cheap test-time path: re-leaf φ so graphs do not accumulate.
-      Tensor leaf = phi.Detach();
-      leaf.set_requires_grad(true);
-      phi = leaf;
+    for (size_t i = 0; i < params.size(); ++i) {
+      params[i] = tensor::Sub(params[i], tensor::MulScalar(grads[i], lr * clip_scale));
+      if (!create_graph) {
+        // Cheap test-time path: re-leaf so graphs do not accumulate.
+        Tensor leaf = params[i].Detach();
+        leaf.set_requires_grad(true);
+        params[i] = leaf;
+      }
     }
   }
-  return phi;
+  return params;
 }
-
-}  // namespace
 
 Fewner::Fewner(const models::BackboneConfig& config, util::Rng* rng)
     : rng_(rng->Fork(0xFE47ull)) {
@@ -66,10 +65,10 @@ Tensor Fewner::AdaptOnPrefix(const models::Backbone& net,
                              const std::vector<bool>& valid_tags, int64_t steps,
                              float inner_lr, bool create_graph, Tensor phi) {
   if (!phi.defined()) phi = net.ZeroContext();
-  return DescendPhi(std::move(phi), steps, inner_lr, create_graph,
-                    [&](const Tensor& p) {
-                      return net.BatchLossFromPrefix(prefix, p, valid_tags);
-                    });
+  return ClippedDescent({std::move(phi)}, steps, inner_lr, create_graph,
+                        [&](const std::vector<Tensor>& p) {
+                          return net.BatchLossFromPrefix(prefix, p[0], valid_tags);
+                        })[0];
 }
 
 Tensor Fewner::AdaptContextOn(const models::Backbone& net,
@@ -104,10 +103,10 @@ Tensor Fewner::AdaptContextOn(const models::Backbone& net,
   }
   // Training-mode dropout: masks are keyed per (episode, call, lane) and
   // legitimately differ between steps, so each step re-runs the full forward.
-  return DescendPhi(std::move(phi), steps, inner_lr, create_graph,
-                    [&](const Tensor& p) {
-                      return net.BatchLoss(packed, p, valid_tags);
-                    });
+  return ClippedDescent({std::move(phi)}, steps, inner_lr, create_graph,
+                        [&](const std::vector<Tensor>& p) {
+                          return net.BatchLoss(packed, p[0], valid_tags);
+                        })[0];
 }
 
 void Fewner::Train(const data::EpisodeSampler& sampler,

@@ -11,7 +11,9 @@
 
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "meta/method.h"
 #include "models/backbone.h"
@@ -19,6 +21,16 @@
 #include "util/rng.h"
 
 namespace fewner::meta {
+
+/// The inner-loop descent FEWNER runs on {φ} (Eq. 5) and MAML on every
+/// backbone parameter (Eq. 1): `steps` times, p ← p − lr·s·∂loss/∂p for each
+/// tensor of `params`, where the detached factor s = min(1, 5/‖g‖) caps the
+/// global gradient norm at the paper's clip of 5.0.  With `create_graph` the
+/// results stay differentiable w.r.t. whatever `loss` depends on; without
+/// it, every step re-leafs its results so graphs do not accumulate.
+std::vector<tensor::Tensor> ClippedDescent(
+    std::vector<tensor::Tensor> params, int64_t steps, float lr, bool create_graph,
+    const std::function<tensor::Tensor(const std::vector<tensor::Tensor>&)>& loss);
 
 /// The paper's approach.
 class Fewner : public FewShotMethod {

@@ -1,19 +1,14 @@
 #include "meta/maml.h"
 
-#include <cmath>
-
+#include "meta/fewner.h"
 #include "meta/parallel.h"
 #include "tensor/autodiff.h"
-#include "tensor/ops.h"
 
 namespace fewner::meta {
 
 using tensor::Tensor;
 
 namespace {
-
-/// Global-norm cap for inner-loop gradients (the paper's clip value).
-constexpr float kInnerClip = 5.0f;
 
 models::BackboneConfig WithoutConditioning(models::BackboneConfig config) {
   config.conditioning = models::Conditioning::kNone;
@@ -41,43 +36,15 @@ std::vector<Tensor> Maml::InnerAdaptOn(
     const std::vector<bool>& valid_tags, int64_t steps, float inner_lr,
     bool create_graph) {
   std::vector<Tensor*> slots = net->Parameters();
-  std::vector<Tensor> current = nn::ParameterTensors(net);
-  // Packed once; every inner step runs the batch-first forward.
+  // Packed once; every inner step runs the batch-first forward.  Full-network
+  // inner steps on the paper's summed task loss are large; the descent's
+  // global-norm cap keeps a single step from blowing up the whole backbone.
   const models::EncodedBatch packed = models::PackBatch(support);
-  for (int64_t k = 0; k < steps; ++k) {
-    Tensor loss;
-    {
-      nn::ParameterPatch patch(slots, current);
-      loss = net->BatchLoss(packed, Tensor(), valid_tags);
-    }
-    std::vector<Tensor> grads = tensor::autodiff::Grad(loss, current, create_graph);
-    // Full-network inner steps on the paper's summed task loss are large;
-    // rescale by the global norm (detached factor, paper's clip of 5.0) so a
-    // single step cannot blow up the whole backbone.
-    double norm_sq = 0.0;
-    for (const Tensor& g : grads) {
-      for (float v : g.data()) norm_sq += static_cast<double>(v) * v;
-    }
-    const float norm = static_cast<float>(std::sqrt(norm_sq));
-    const float clip_scale = norm > kInnerClip ? kInnerClip / norm : 1.0f;
-    for (size_t i = 0; i < current.size(); ++i) {
-      if (create_graph) {
-        current[i] = tensor::Sub(
-            current[i], tensor::MulScalar(grads[i], inner_lr * clip_scale));
-      } else {
-        // First-order test-time path: plain arithmetic into fresh leaves.
-        std::vector<float> updated = current[i].data();
-        const auto& g = grads[i].data();
-        for (size_t j = 0; j < updated.size(); ++j) {
-          updated[j] -= inner_lr * clip_scale * g[j];
-        }
-        Tensor leaf = Tensor::FromData(current[i].shape(), std::move(updated),
-                                       /*requires_grad=*/true);
-        current[i] = leaf;
-      }
-    }
-  }
-  return current;
+  return ClippedDescent(nn::ParameterTensors(net), steps, inner_lr, create_graph,
+                        [&](const std::vector<Tensor>& current) {
+                          nn::ParameterPatch patch(slots, current);
+                          return net->BatchLoss(packed, Tensor(), valid_tags);
+                        });
 }
 
 void Maml::Train(const data::EpisodeSampler& sampler,

@@ -89,12 +89,13 @@ Backbone::Backbone(const BackboneConfig& config, util::Rng* rng)
   }
 
   if (config.encoder == EncoderKind::kBiGru) {
-    bigru_ = std::make_unique<nn::BiGru>(token_input_dim(), config.hidden_dim, rng);
-    RegisterModule("bigru", bigru_.get());
+    encoder_ = std::make_unique<nn::BiRnn>(std::in_place_type<nn::GruCell>,
+                                           token_input_dim(), config.hidden_dim, rng);
+    RegisterModule("bigru", encoder_.get());
   } else {
-    bilstm_ =
-        std::make_unique<nn::BiLstm>(token_input_dim(), config.hidden_dim, rng);
-    RegisterModule("bilstm", bilstm_.get());
+    encoder_ = std::make_unique<nn::BiRnn>(std::in_place_type<nn::LstmCell>,
+                                           token_input_dim(), config.hidden_dim, rng);
+    RegisterModule("bilstm", encoder_.get());
   }
 
   if (config.conditioning == Conditioning::kFilm) {
@@ -158,9 +159,10 @@ Tensor Backbone::LaneDropout(const Tensor& x, const EncodedBatch& batch,
   FEWNER_CHECK(p < 1.0f, "Dropout rate must be < 1");
   const float scale = 1.0f / (1.0f - p);
   const int64_t d = x.shape().dim(2);
-  // Padding rows get a 0 mask (dropped) without consuming draws, so lane b's
-  // draw sequence is exactly what tensor::Dropout draws for its [len, d]
-  // per-sentence tensor — and garbage padding activations are zeroed for free.
+  // One draw per real element of lane b, row-major over its [len, d] block;
+  // padding rows get a 0 mask (dropped) without consuming draws, so the
+  // sequence is the same at any padded width — and garbage padding
+  // activations are zeroed for free.
   std::vector<float> mask(static_cast<size_t>(x.numel()), 0.0f);
   for (int64_t b = 0; b < batch.batch; ++b) {
     util::Rng* rng = lane_rngs[static_cast<size_t>(b)];
@@ -171,11 +173,6 @@ Tensor Backbone::LaneDropout(const Tensor& x, const EncodedBatch& batch,
     }
   }
   return tensor::Mul(x, Tensor::FromData(x.shape(), std::move(mask)));
-}
-
-Tensor Backbone::Recur(const Tensor& x, const std::vector<int64_t>& lengths) const {
-  return bigru_ ? bigru_->ForwardBatch(x, lengths)
-                : bilstm_->ForwardBatch(x, lengths);
 }
 
 Tensor Backbone::PrefixStage(const EncodedBatch& run,
@@ -201,7 +198,7 @@ Tensor Backbone::PrefixStage(const EncodedBatch& run,
   // and the prefix stops at the token features.  kFilm/kNone: φ enters after
   // the encoder (or never), so the full recurrent pass is θ-only.
   if (config_.conditioning == Conditioning::kConcat) return input3;
-  return Recur(input3, run.lengths);
+  return encoder_->ForwardBatch(input3, run.lengths);
 }
 
 Tensor Backbone::SuffixStage(const EncodedBatch& run, const Tensor& features,
@@ -216,7 +213,8 @@ Tensor Backbone::SuffixStage(const EncodedBatch& run, const Tensor& features,
     Tensor phi_rows = tensor::BroadcastTo(
         tensor::Reshape(phi, Shape{1, 1, config_.context_dim}),
         Shape{lanes, max_len, config_.context_dim});
-    hidden3 = Recur(tensor::Concat({features, phi_rows}, 2), run.lengths);
+    hidden3 = encoder_->ForwardBatch(tensor::Concat({features, phi_rows}, 2),
+                                     run.lengths);
   } else if (config_.conditioning == Conditioning::kFilm) {
     FEWNER_CHECK(phi.defined(), "kFilm conditioning requires a context vector");
     // Method B (paper Eq. 8-9): modulate the BiGRU output so adapted hidden

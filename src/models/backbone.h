@@ -16,10 +16,9 @@
 #include "crf/linear_chain_crf.h"
 #include "models/encoding.h"
 #include "nn/char_cnn.h"
-#include "nn/gru.h"
 #include "nn/layers.h"
-#include "nn/lstm.h"
 #include "nn/module.h"
+#include "nn/rnn.h"
 #include "util/rng.h"
 
 namespace fewner::models {
@@ -196,10 +195,6 @@ class Backbone : public nn::Module {
                              const tensor::Tensor& phi,
                              const std::vector<util::Rng*>& lane_rngs) const;
 
-  /// The encoder RNN (BiGRU or BiLSTM) over [count, len, input].
-  tensor::Tensor Recur(const tensor::Tensor& x,
-                       const std::vector<int64_t>& lengths) const;
-
   /// Receives one run's lanes and suffix output [count, run_max_len, 2H].
   using RunConsumer =
       std::function<void(const EncodedBatch& run, const tensor::Tensor& hidden)>;
@@ -233,10 +228,11 @@ class Backbone : public nn::Module {
   /// regime.
   void CheckPrefix(const CachedPrefix& prefix) const;
 
-  /// Length-masked inverted dropout over [B, Lmax, D]: lane b's rows t <
-  /// lengths[b] draw flat-row-major from lane_rngs[b] exactly as
-  /// tensor::Dropout draws for the [len, D] per-sentence tensor; padding rows
-  /// get a 0 mask (dropped) without consuming draws.
+  /// Length-masked inverted dropout over [B, Lmax, D]: lane b's real
+  /// elements (rows t < lengths[b]) each take one Bernoulli(p) draw from
+  /// lane_rngs[b], in flat row-major order, and are kept scaled by 1/(1-p)
+  /// or zeroed; padding rows get a 0 mask (dropped) without consuming draws,
+  /// so a lane's draws do not depend on the padded width.
   tensor::Tensor LaneDropout(const tensor::Tensor& x,
                              const EncodedBatch& batch,
                              const std::vector<util::Rng*>& lane_rngs) const;
@@ -253,8 +249,7 @@ class Backbone : public nn::Module {
   BackboneConfig config_;
   std::unique_ptr<nn::Embedding> word_embedding_;
   std::unique_ptr<nn::CharCnn> char_cnn_;
-  std::unique_ptr<nn::BiGru> bigru_;
-  std::unique_ptr<nn::BiLstm> bilstm_;
+  std::unique_ptr<nn::BiRnn> encoder_;  ///< registered as "bigru" or "bilstm"
   std::unique_ptr<nn::FilmGenerator> film_;
   std::unique_ptr<nn::Linear> emission_;
   std::unique_ptr<crf::LinearChainCrf> crf_;

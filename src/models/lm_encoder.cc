@@ -80,7 +80,8 @@ PretrainedLmEncoder::PretrainedLmEncoder(LmKind kind, const LmConfig& config,
       RegisterParameter("mask_embedding", &mask_embedding_);
     }
   } else if (kind == LmKind::kElmo) {
-    gru_ = std::make_unique<nn::BiGru>(config.model_dim, config.gru_hidden, rng);
+    gru_ = std::make_unique<nn::BiRnn>(std::in_place_type<nn::GruCell>,
+                                         config.model_dim, config.gru_hidden, rng);
     RegisterModule("gru", gru_.get());
     vocab_head_ = std::make_unique<nn::Linear>(config.gru_hidden,
                                                word_vocab_->size(), rng);
@@ -88,7 +89,8 @@ PretrainedLmEncoder::PretrainedLmEncoder(LmKind kind, const LmConfig& config,
   } else {  // kFlair
     char_embedding_ = std::make_unique<nn::Embedding>(char_vocab_->size(),
                                                       config.char_dim, rng);
-    gru_ = std::make_unique<nn::BiGru>(config.char_dim, config.gru_hidden, rng);
+    gru_ = std::make_unique<nn::BiRnn>(std::in_place_type<nn::GruCell>,
+                                         config.char_dim, config.gru_hidden, rng);
     char_head_ = std::make_unique<nn::Linear>(config.gru_hidden, char_vocab_->size(),
                                               rng);
     RegisterModule("char_embedding", char_embedding_.get());

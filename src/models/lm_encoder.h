@@ -22,9 +22,9 @@
 
 #include "models/encoding.h"
 #include "nn/attention.h"
-#include "nn/gru.h"
 #include "nn/layers.h"
 #include "nn/module.h"
+#include "nn/rnn.h"
 #include "text/vocab.h"
 
 namespace fewner::models {
@@ -99,7 +99,7 @@ class PretrainedLmEncoder : public nn::Module {
   std::vector<std::unique_ptr<nn::TransformerBlock>> blocks_rev_;
 
   // ELMo (word-level) or Flair (character-level) bidirectional GRU LM.
-  std::unique_ptr<nn::BiGru> gru_;
+  std::unique_ptr<nn::BiRnn> gru_;
 
   // Flair character-level LM.
   std::unique_ptr<nn::Embedding> char_embedding_;

@@ -52,8 +52,7 @@ void CheckOp(const std::string& what, const std::function<Tensor()>& op) {
     eval_out = op();
   }
   ExpectBitwise(graph_out, eval_out, what);
-  // Identity cases (SumTo/BroadcastTo on a matching shape, inference-mode
-  // Dropout, ...) return the input tensor itself — a leaf here — which may
+  // Identity cases (SumTo/BroadcastTo on a matching shape, ...) return the input tensor itself — a leaf here — which may
   // legitimately carry requires_grad.  Anything the op layer *created* under
   // EvalMode must be free of autodiff state.
   if (!eval_out.node()->leaf) {
@@ -200,16 +199,6 @@ TEST_F(EvalModeOpTest, CompositesAndDropout) {
     CheckOp("LogSumExpLastDim", [&] { return LogSumExpLastDim(t); });
     CheckOp("LogSoftmaxLastDim", [&] { return LogSoftmaxLastDim(t); });
     CheckOp("SoftmaxLastDim", [&] { return SoftmaxLastDim(t); });
-    // Inference dropout is the identity; training dropout must agree when the
-    // two modes draw from identically seeded streams.
-    CheckOp("Dropout/eval", [&] {
-      return Dropout(t, 0.5f, nullptr, /*training=*/false);
-    });
-    util::Rng base(rep + 900);
-    CheckOp("Dropout/train", [&] {
-      util::Rng stream = base.Fork(7);
-      return Dropout(t, 0.3f, &stream, /*training=*/true);
-    });
   }
 }
 

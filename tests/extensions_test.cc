@@ -11,7 +11,7 @@
 #include "data/slot_filling.h"
 #include "meta/matching_net.h"
 #include "meta/reptile.h"
-#include "nn/lstm.h"
+#include "nn/rnn.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
 #include "text/bio.h"
@@ -122,7 +122,7 @@ TEST(SlotFillingTest, Deterministic) {
 // ----------------------------------------------------------------- BiLSTM
 
 /// One sentence [L, input] through the batched time loop at B=1, as [L, 2H].
-Tensor ForwardOne(const nn::BiLstm& lstm, const Tensor& x) {
+Tensor ForwardOne(const nn::BiRnn& lstm, const Tensor& x) {
   const int64_t length = x.shape().dim(0);
   Tensor out = lstm.ForwardBatch(
       tensor::Reshape(x, Shape{1, length, x.shape().dim(1)}), {length});
@@ -131,7 +131,7 @@ Tensor ForwardOne(const nn::BiLstm& lstm, const Tensor& x) {
 
 TEST(LstmTest, ShapesAndBidirectionality) {
   util::Rng rng(5);
-  nn::BiLstm lstm(3, 4, &rng);
+  nn::BiRnn lstm(std::in_place_type<nn::LstmCell>, 3, 4, &rng);
   Tensor x = Tensor::Randn(Shape{6, 3}, &rng);
   Tensor out = ForwardOne(lstm, x);
   EXPECT_EQ(out.shape(), (Shape{6, 8}));
@@ -147,7 +147,7 @@ TEST(LstmTest, ShapesAndBidirectionality) {
 
 TEST(LstmTest, GradCheckThroughTime) {
   util::Rng rng(7);
-  nn::BiLstm lstm(2, 2, &rng);
+  nn::BiRnn lstm(std::in_place_type<nn::LstmCell>, 2, 2, &rng);
   Tensor x = Tensor::Randn(Shape{3, 2}, &rng, 0.5f, /*requires_grad=*/true);
   Tensor loss = tensor::SumAll(tensor::Square(ForwardOne(lstm, x)));
   auto g = tensor::autodiff::Grad(loss, {x});

@@ -330,5 +330,75 @@ TEST_F(LmEncoderTest, BertFeaturesAreBidirectional) {
   EXPECT_GT(delta, 1e-7);
 }
 
+std::vector<std::string> ParameterNames(nn::Module* module) {
+  std::vector<std::string> names;
+  for (const auto& [name, slot] : module->NamedParameters()) names.push_back(name);
+  return names;
+}
+
+// Checkpoints store parameter names and loading verifies them
+// (nn/serialization.h), so renaming a slot orphans every checkpoint written
+// before the rename.  A save/load round trip within one build cannot see that;
+// these literal lists can.
+TEST(ParameterNamesTest, BackboneAndRecurrentLmNamesAreStable) {
+  text::VocabBuilder builder;
+  for (const auto& tokens : data::GenerateUnlabeledText(5, 5)) {
+    builder.AddSentence(tokens);
+  }
+  const text::Vocab words = builder.BuildWordVocab();
+  const text::Vocab chars = builder.BuildCharVocab();
+
+  BackboneConfig config;
+  config.word_vocab_size = words.size();
+  config.char_vocab_size = chars.size();
+  config.hidden_dim = 4;
+  util::Rng rng(1);
+  Backbone gru(config, &rng);
+  EXPECT_EQ(ParameterNames(&gru),
+            (std::vector<std::string>{
+                "word_embedding.table", "char_cnn.char_embedding.table",
+                "char_cnn.filter_w2.weight", "char_cnn.filter_w2.bias",
+                "char_cnn.filter_w3.weight", "char_cnn.filter_w3.bias",
+                "char_cnn.filter_w4.weight", "char_cnn.filter_w4.bias",
+                "bigru.forward.w_ih", "bigru.forward.w_hh", "bigru.forward.b_ih",
+                "bigru.forward.b_hh", "bigru.backward.w_ih", "bigru.backward.w_hh",
+                "bigru.backward.b_ih", "bigru.backward.b_hh", "film.weight",
+                "film.bias", "emission.weight", "emission.bias", "crf.transitions",
+                "crf.start", "crf.end"}));
+
+  config.encoder = EncoderKind::kBiLstm;
+  Backbone lstm(config, &rng);
+  EXPECT_EQ(ParameterNames(&lstm),
+            (std::vector<std::string>{
+                "word_embedding.table", "char_cnn.char_embedding.table",
+                "char_cnn.filter_w2.weight", "char_cnn.filter_w2.bias",
+                "char_cnn.filter_w3.weight", "char_cnn.filter_w3.bias",
+                "char_cnn.filter_w4.weight", "char_cnn.filter_w4.bias",
+                "bilstm.forward.w_ih", "bilstm.forward.w_hh", "bilstm.forward.bias",
+                "bilstm.backward.w_ih", "bilstm.backward.w_hh",
+                "bilstm.backward.bias", "film.weight", "film.bias",
+                "emission.weight", "emission.bias", "crf.transitions", "crf.start",
+                "crf.end"}));
+
+  LmConfig lm_config;
+  lm_config.model_dim = 4;
+  lm_config.gru_hidden = 4;
+  lm_config.char_dim = 4;
+  PretrainedLmEncoder elmo(LmKind::kElmo, lm_config, &words, &chars, &rng);
+  EXPECT_EQ(ParameterNames(&elmo),
+            (std::vector<std::string>{
+                "word_embedding.table", "gru.forward.w_ih", "gru.forward.w_hh",
+                "gru.forward.b_ih", "gru.forward.b_hh", "gru.backward.w_ih",
+                "gru.backward.w_hh", "gru.backward.b_ih", "gru.backward.b_hh",
+                "vocab_head.weight", "vocab_head.bias"}));
+  PretrainedLmEncoder flair(LmKind::kFlair, lm_config, &words, &chars, &rng);
+  EXPECT_EQ(ParameterNames(&flair),
+            (std::vector<std::string>{
+                "char_embedding.table", "gru.forward.w_ih", "gru.forward.w_hh",
+                "gru.forward.b_ih", "gru.forward.b_hh", "gru.backward.w_ih",
+                "gru.backward.w_hh", "gru.backward.b_ih", "gru.backward.b_hh",
+                "char_head.weight", "char_head.bias"}));
+}
+
 }  // namespace
 }  // namespace fewner::models

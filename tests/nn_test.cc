@@ -11,7 +11,7 @@
 
 #include "nn/attention.h"
 #include "nn/char_cnn.h"
-#include "nn/gru.h"
+#include "nn/rnn.h"
 #include "nn/init.h"
 #include "nn/layers.h"
 #include "nn/module.h"
@@ -27,10 +27,9 @@ using tensor::Shape;
 using tensor::Tensor;
 using tensor::autodiff::Grad;
 
-/// One sentence [L, input] through a BiGRU/BiLSTM's batched time loop at
-/// B=1, as [L, 2H].
-template <typename Rnn>
-Tensor ForwardOne(const Rnn& rnn, const Tensor& x) {
+/// One sentence [L, input] through a BiRnn's batched time loop at B=1, as
+/// [L, 2H].
+Tensor ForwardOne(const BiRnn& rnn, const Tensor& x) {
   const int64_t length = x.shape().dim(0);
   Tensor out = rnn.ForwardBatch(
       tensor::Reshape(x, Shape{1, length, x.shape().dim(1)}), {length});
@@ -50,7 +49,7 @@ TEST(ModuleTest, RegistersParametersHierarchically) {
 
 TEST(ModuleTest, TrainingFlagPropagates) {
   util::Rng rng(1);
-  BiGru gru(4, 3, &rng);
+  BiRnn gru(std::in_place_type<GruCell>, 4, 3, &rng);
   gru.SetTraining(false);
   EXPECT_FALSE(gru.training());
 }
@@ -359,7 +358,7 @@ TEST(GruTest, ShapesAndStatePropagation) {
   Tensor projected = cell.ProjectInput(x);
   EXPECT_EQ(projected.shape(), (Shape{5, 9}));
   Tensor h = Tensor::Zeros(Shape{1, 3});
-  Tensor h1 = cell.Step(tensor::Slice(projected, 0, 0, 1), h);
+  Tensor h1 = cell.Step(tensor::Slice(projected, 0, 0, 1), {h}).h;
   EXPECT_EQ(h1.shape(), (Shape{1, 3}));
   // State must change from zero on non-trivial input.
   double norm = 0;
@@ -369,7 +368,7 @@ TEST(GruTest, ShapesAndStatePropagation) {
 
 TEST(BiGruTest, OutputShapeAndDirectionality) {
   util::Rng rng(15);
-  BiGru gru(3, 4, &rng);
+  BiRnn gru(std::in_place_type<GruCell>, 3, 4, &rng);
   Tensor x = Tensor::Randn(Shape{6, 3}, &rng);
   Tensor out = ForwardOne(gru, x);
   EXPECT_EQ(out.shape(), (Shape{6, 8}));
@@ -389,7 +388,7 @@ TEST(BiGruTest, OutputShapeAndDirectionality) {
 
 TEST(BiGruTest, GradCheckThroughTime) {
   util::Rng rng(17);
-  BiGru gru(2, 2, &rng);
+  BiRnn gru(std::in_place_type<GruCell>, 2, 2, &rng);
   Tensor x = Tensor::Randn(Shape{3, 2}, &rng, 0.5f, /*requires_grad=*/true);
   Tensor loss = tensor::SumAll(tensor::Square(ForwardOne(gru, x)));
   auto g = Grad(loss, {x});
@@ -575,8 +574,8 @@ namespace {
 
 TEST(SerializationTest, SaveLoadRoundTrip) {
   util::Rng rng(1), rng2(2);
-  BiGru a(4, 3, &rng);
-  BiGru b(4, 3, &rng2);
+  BiRnn a(std::in_place_type<GruCell>, 4, 3, &rng);
+  BiRnn b(std::in_place_type<GruCell>, 4, 3, &rng2);
   const std::string path = ::testing::TempDir() + "/fewner_ckpt.bin";
   ASSERT_TRUE(SaveParameters(&a, path).ok());
   ASSERT_TRUE(LoadParameters(&b, path).ok());
