@@ -3,10 +3,12 @@
 #pragma once
 
 #include <iostream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "eval/experiment.h"
+#include "eval/reporting.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -80,6 +82,56 @@ inline eval::ExperimentConfig ConfigFromFlags(const util::FlagParser& flags) {
   config.train.inner_steps_test = flags.GetInt("inner-steps-test");
   config.train.inner_steps_train = flags.GetInt("inner-steps-train");
   return config;
+}
+
+/// Builds the scenario adapting from `source` to `target` (eval's
+/// MakeCrossDomainIntraType or MakeCrossDomainCrossType).
+using ScenarioMaker = eval::Scenario (*)(const std::string& source,
+                                         const std::string& target, double scale,
+                                         uint64_t seed);
+
+/// The cross-domain tables: runs every --methods method on every SRC:TGT pair
+/// of --adaptations at every K of --shots, printing each cell as it finishes,
+/// then prints `title` and the methods × (pair, K) table.
+inline void RunAdaptationTable(const util::FlagParser& flags,
+                               ScenarioMaker make_scenario, const std::string& title) {
+  const auto methods = ParseMethods(flags.GetString("methods"));
+  const auto shots = ParseShots(flags.GetString("shots"));
+
+  std::map<std::string, std::map<std::string, std::string>> cells;
+  std::vector<std::string> columns;
+
+  for (const std::string& pair : util::Split(flags.GetString("adaptations"), ',')) {
+    const auto parts = util::Split(pair, ':');
+    FEWNER_CHECK(parts.size() == 2, "adaptation '" << pair << "' must be SRC:TGT");
+    for (int64_t k : shots) {
+      const std::string column =
+          parts[0] + "->" + parts[1] + " " + std::to_string(k) + "-shot";
+      columns.push_back(column);
+      eval::ExperimentConfig config = ConfigFromFlags(flags);
+      config.k_shot = k;
+      eval::ExperimentRunner runner(
+          make_scenario(parts[0], parts[1], config.data_scale, config.seed), config);
+      for (eval::MethodId id : methods) {
+        eval::EvalResult result = runner.Run(id);
+        cells[eval::MethodName(id)][column] = eval::FormatCell(result.f1);
+        std::cout << "[" << column << "] " << eval::MethodName(id) << ": "
+                  << eval::FormatCell(result.f1) << std::endl;
+      }
+    }
+  }
+
+  std::vector<std::string> headers = {"Methods"};
+  headers.insert(headers.end(), columns.begin(), columns.end());
+  eval::Table table(headers);
+  for (eval::MethodId id : methods) {
+    std::vector<std::string> row = {eval::MethodName(id)};
+    for (const std::string& column : columns) {
+      row.push_back(cells[eval::MethodName(id)][column]);
+    }
+    table.AddRow(std::move(row));
+  }
+  std::cout << "\n" << title << "\n" << table.Render();
 }
 
 /// Standard preamble: parse flags or exit; returns false if --help was shown.

@@ -23,7 +23,7 @@ void PerTypeScorer::AddEpisode(const models::EncodedEpisode& episode,
     const auto predicted = text::TagsToSpans(predictions[q]);
     for (const auto& g : gold) ++counts_[type_of(g)].gold;
     for (const auto& p : predicted) {
-      TypeCounts& c = counts_[type_of(p)];
+      text::SpanCounts& c = counts_[type_of(p)];
       ++c.returned;
       if (std::find(gold.begin(), gold.end(), p) != gold.end()) ++c.correct;
     }
@@ -31,7 +31,7 @@ void PerTypeScorer::AddEpisode(const models::EncodedEpisode& episode,
 }
 
 std::string PerTypeScorer::Report() const {
-  std::vector<std::pair<std::string, TypeCounts>> rows(counts_.begin(),
+  std::vector<std::pair<std::string, text::SpanCounts>> rows(counts_.begin(),
                                                        counts_.end());
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
     return a.second.F1() < b.second.F1();

@@ -19,24 +19,6 @@
 
 namespace fewner::eval {
 
-/// Running per-type counters.
-struct TypeCounts {
-  int64_t gold = 0;
-  int64_t returned = 0;
-  int64_t correct = 0;
-
-  double Precision() const {
-    return returned == 0 ? 0.0 : static_cast<double>(correct) / returned;
-  }
-  double Recall() const {
-    return gold == 0 ? 0.0 : static_cast<double>(correct) / gold;
-  }
-  double F1() const {
-    const int64_t denom = gold + returned;
-    return denom == 0 ? 0.0 : 2.0 * static_cast<double>(correct) / denom;
-  }
-};
-
 /// Accumulates per-type-name span counts across episodes.
 class PerTypeScorer {
  public:
@@ -46,7 +28,7 @@ class PerTypeScorer {
                   const std::vector<std::string>& types,
                   const std::vector<std::vector<int64_t>>& predictions);
 
-  const std::map<std::string, TypeCounts>& counts() const { return counts_; }
+  const std::map<std::string, text::SpanCounts>& counts() const { return counts_; }
 
   /// Renders a compact "type: P/R/F1 (gold n)" report, worst F1 first.
   std::string Report() const;
@@ -55,7 +37,7 @@ class PerTypeScorer {
   std::string ToCsv() const;
 
  private:
-  std::map<std::string, TypeCounts> counts_;
+  std::map<std::string, text::SpanCounts> counts_;
 };
 
 }  // namespace fewner::eval

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "meta/adapted_tagger.h"
-#include "meta/parallel.h"
 #include "tensor/autodiff.h"
 #include "tensor/eval_mode.h"
 #include "tensor/ops.h"
@@ -44,21 +43,20 @@ std::vector<Tensor> ClippedDescent(
   return params;
 }
 
-Fewner::Fewner(const models::BackboneConfig& config, util::Rng* rng)
-    : rng_(rng->Fork(0xFE47ull)) {
+namespace {
+
+/// `config`, once its context conditioning is checked (before θ is built).
+const models::BackboneConfig& CheckedContext(const models::BackboneConfig& config) {
   FEWNER_CHECK(config.conditioning != models::Conditioning::kNone,
                "FEWNER requires context-parameter conditioning");
   FEWNER_CHECK(config.context_dim > 0, "FEWNER requires context_dim > 0");
-  util::Rng init_rng = rng->Fork(0x1417ull);
-  backbone_ = std::make_unique<models::Backbone>(config, &init_rng);
+  return config;
 }
 
-Tensor Fewner::AdaptContext(const std::vector<models::EncodedSentence>& support,
-                            const std::vector<bool>& valid_tags, int64_t steps,
-                            float inner_lr, bool create_graph) const {
-  return AdaptContextOn(*backbone_, support, valid_tags, steps, inner_lr,
-                        create_graph);
-}
+}  // namespace
+
+Fewner::Fewner(const models::BackboneConfig& config, util::Rng* rng)
+    : BackboneMethod(CheckedContext(config), rng, 0x1417ull) {}
 
 Tensor Fewner::AdaptOnPrefix(const models::Backbone& net,
                              const models::CachedPrefix& prefix,
@@ -109,30 +107,18 @@ Tensor Fewner::AdaptContextOn(const models::Backbone& net,
                         })[0];
 }
 
-void Fewner::Train(const data::EpisodeSampler& sampler,
-                   const models::EpisodeEncoder& encoder, const TrainConfig& config) {
-  test_inner_steps_ = config.inner_steps_test;
-  inner_lr_ = config.inner_lr;
-  MetaTrain(
-      name(), backbone_.get(), BackboneMetaBatch(config.num_threads, backbone_.get()),
-      config,
-      [&](uint64_t episode_id, nn::Module* model,
-          const std::vector<Tensor>& replica_params,
-          std::vector<Tensor>* grads) -> double {
-        auto* net = static_cast<models::Backbone*>(model);
-        models::EncodedEpisode enc =
-            PrepareTrainingTask(sampler, encoder, config, episode_id, net);
-        Tensor phi = AdaptContextOn(*net, enc.support, enc.valid_tags,
-                                    config.inner_steps_train, config.inner_lr,
-                                    /*create_graph=*/!config.first_order);
-        // Eq. 6: meta-gradient through the inner updates (second order).
-        // Each task backpropagates separately; summed gradients equal the
-        // gradient of the summed loss, at a fraction of the peak memory.
-        Tensor query_loss =
-            net->BatchLoss(models::PackBatch(enc.query), phi, enc.valid_tags);
-        *grads = tensor::autodiff::Grad(query_loss, replica_params);
-        return query_loss.item();
-      });
+void Fewner::Fit(const data::EpisodeSampler& sampler,
+                 const models::EpisodeEncoder& encoder, const TrainConfig& config) {
+  TrainOnLoss(sampler, encoder, config,
+              [&](const models::Backbone& net, const models::EncodedEpisode& task) {
+                Tensor phi = AdaptContextOn(net, task.support, task.valid_tags,
+                                            config.inner_steps_train, config.inner_lr,
+                                            /*create_graph=*/!config.first_order);
+                // Eq. 6: the query loss, whose θ-gradient runs through the
+                // inner updates (second order).
+                return net.BatchLoss(models::PackBatch(task.query), phi,
+                                     task.valid_tags);
+              });
 }
 
 std::vector<std::vector<int64_t>> Fewner::AdaptAndPredict(

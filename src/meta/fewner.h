@@ -12,12 +12,10 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "meta/method.h"
+#include "meta/backbone_method.h"
 #include "models/backbone.h"
-#include "nn/optim.h"
 #include "util/rng.h"
 
 namespace fewner::meta {
@@ -33,32 +31,24 @@ std::vector<tensor::Tensor> ClippedDescent(
     const std::function<tensor::Tensor(const std::vector<tensor::Tensor>&)>& loss);
 
 /// The paper's approach.
-class Fewner : public FewShotMethod {
+class Fewner : public BackboneMethod {
  public:
   /// `config.conditioning` must be kFilm or kConcat, with context_dim > 0.
   Fewner(const models::BackboneConfig& config, util::Rng* rng);
 
   std::string name() const override { return "FewNER"; }
 
-  void Train(const data::EpisodeSampler& sampler,
-             const models::EpisodeEncoder& encoder,
-             const TrainConfig& config) override;
-
   std::vector<std::vector<int64_t>> AdaptAndPredict(
       const models::EncodedEpisode& episode) override;
 
-  /// Inner loop (Eq. 5): runs `steps` gradient steps on φ starting from zero.
-  /// With `create_graph` the returned φ_k stays differentiable w.r.t. θ.
-  tensor::Tensor AdaptContext(const std::vector<models::EncodedSentence>& support,
-                              const std::vector<bool>& valid_tags, int64_t steps,
-                              float inner_lr, bool create_graph) const;
-
-  /// Same inner loop against an explicit backbone — the form the
-  /// episode-parallel trainer runs on per-worker replicas.  When the backbone
-  /// is in the dropout-free regime (test time, or training with dropout == 0)
-  /// the θ-prefix over the support set is computed once and every step runs
-  /// the φ-suffix only; otherwise it falls back to per-step forwards, since
-  /// per-(episode, call, lane) dropout masks legitimately differ per step.
+  /// Inner loop (Eq. 5): runs `steps` gradient steps on φ starting from zero,
+  /// against `net` (θ, or a per-worker replica of it in the episode-parallel
+  /// trainer).  With `create_graph` the returned φ_k stays differentiable
+  /// w.r.t. θ.  When the backbone is in the dropout-free regime (test time,
+  /// or training with dropout == 0) the θ-prefix over the support set is
+  /// computed once and every step runs the φ-suffix only; otherwise it falls
+  /// back to per-step forwards, since per-(episode, call, lane) dropout masks
+  /// legitimately differ per step.
   static tensor::Tensor AdaptContextOn(
       const models::Backbone& net,
       const std::vector<models::EncodedSentence>& support,
@@ -76,18 +66,9 @@ class Fewner : public FewShotMethod {
                                       bool create_graph,
                                       tensor::Tensor phi = tensor::Tensor());
 
-  models::Backbone* backbone() { return backbone_.get(); }
-
-  /// Inner steps used at test time; taken from the last Train() config, or the
-  /// TrainConfig default before training.
-  int64_t test_inner_steps() const { return test_inner_steps_; }
-  float inner_lr() const { return inner_lr_; }
-
  private:
-  std::unique_ptr<models::Backbone> backbone_;
-  util::Rng rng_;
-  int64_t test_inner_steps_ = TrainConfig{}.inner_steps_test;
-  float inner_lr_ = TrainConfig{}.inner_lr;
+  void Fit(const data::EpisodeSampler& sampler, const models::EpisodeEncoder& encoder,
+           const TrainConfig& config) override;
 };
 
 }  // namespace fewner::meta

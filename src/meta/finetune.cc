@@ -1,6 +1,5 @@
 #include "meta/finetune.h"
 
-#include "meta/parallel.h"
 #include "nn/optim.h"
 #include "tensor/autodiff.h"
 
@@ -8,30 +7,22 @@ namespace fewner::meta {
 
 using tensor::Tensor;
 
-FineTune::FineTune(const models::BackboneConfig& config, util::Rng* rng) {
-  models::BackboneConfig plain = config;
-  plain.conditioning = models::Conditioning::kNone;
-  plain.context_dim = 0;
-  util::Rng init_rng = rng->Fork(0xF17Eull);
-  backbone_ = std::make_unique<models::Backbone>(plain, &init_rng);
-}
+FineTune::FineTune(const models::BackboneConfig& config, util::Rng* rng)
+    : BackboneMethod(models::WithoutContext(config), rng, 0xF17Eull) {}
 
-double SgdOnSupport(models::Backbone* net,
-                    const std::vector<models::EncodedSentence>& support,
-                    const std::vector<bool>& valid_tags, int64_t steps, float lr) {
-  nn::Sgd sgd(net->Parameters(), lr);
+double SgdOnSupport(nn::Module* module, int64_t steps, float lr,
+                    const std::function<Tensor()>& loss) {
+  nn::Sgd sgd(module->Parameters(), lr);
   double last_loss = 0.0;
-  // Packed once; every SGD step runs the batch-first forward.  The parameter
-  // snapshot is likewise loop-invariant: Sgd::Step writes values in place, so
-  // the handles keep aliasing the live leaves across steps.
-  const models::EncodedBatch packed = models::PackBatch(support);
-  const std::vector<Tensor> params = nn::ParameterTensors(net);
+  // The parameter snapshot is loop-invariant: Sgd::Step writes values in
+  // place, so the handles keep aliasing the live leaves across steps.
+  const std::vector<Tensor> params = nn::ParameterTensors(module);
   for (int64_t k = 0; k < steps; ++k) {
-    Tensor loss = net->BatchLoss(packed, Tensor(), valid_tags);
-    std::vector<Tensor> grads = tensor::autodiff::Grad(loss, params);
+    Tensor value = loss();
+    std::vector<Tensor> grads = tensor::autodiff::Grad(value, params);
     nn::ClipGradNorm(&grads, 5.0f);
     sgd.Step(grads);
-    last_loss = loss.item();
+    last_loss = value.item();
   }
   return last_loss;
 }
@@ -41,7 +32,10 @@ std::vector<std::vector<int64_t>> FineTuneAndDecode(
     float lr) {
   net->SetTraining(false);
   std::vector<std::vector<float>> snapshot = nn::SnapshotParameterValues(net);
-  SgdOnSupport(net, episode.support, episode.valid_tags, steps, lr);
+  // Packed once; every SGD step runs the batch-first forward.
+  const models::EncodedBatch support = models::PackBatch(episode.support);
+  SgdOnSupport(net, steps, lr,
+               [&] { return net->BatchLoss(support, Tensor(), episode.valid_tags); });
   std::vector<std::vector<int64_t>> predictions;
   if (!episode.query.empty()) {
     predictions =
@@ -51,35 +45,23 @@ std::vector<std::vector<int64_t>> FineTuneAndDecode(
   return predictions;
 }
 
-void FineTune::Train(const data::EpisodeSampler& sampler,
-                     const models::EpisodeEncoder& encoder,
-                     const TrainConfig& config) {
-  test_steps_ = config.inner_steps_test;
-  finetune_lr_ = config.inner_lr;
+void FineTune::Fit(const data::EpisodeSampler& sampler,
+                   const models::EpisodeEncoder& encoder, const TrainConfig& config) {
   // Conventional supervised training: each training task's support set is one
   // mini-batch element; a meta-batch of support losses is averaged into one
   // update (no inner/outer split, no query usage).
-  MetaTrain(
-      name(), backbone_.get(), BackboneMetaBatch(config.num_threads, backbone_.get()),
-      config,
-      [&](uint64_t episode_id, nn::Module* model,
-          const std::vector<Tensor>& replica_params,
-          std::vector<Tensor>* grads) -> double {
-        auto* net = static_cast<models::Backbone*>(model);
-        models::EncodedEpisode enc =
-            PrepareTrainingTask(sampler, encoder, config, episode_id, net);
-        Tensor loss =
-            net->BatchLoss(models::PackBatch(enc.support), Tensor(), enc.valid_tags);
-        *grads = tensor::autodiff::Grad(loss, replica_params);
-        return loss.item();
-      });
+  TrainOnLoss(sampler, encoder, config,
+              [](const models::Backbone& net, const models::EncodedEpisode& task) {
+                return net.BatchLoss(models::PackBatch(task.support), Tensor(),
+                                     task.valid_tags);
+              });
 }
 
 std::vector<std::vector<int64_t>> FineTune::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
   // Fine-tune the whole network on the support set, then restore, so
   // evaluation episodes stay independent.
-  return FineTuneAndDecode(backbone_.get(), episode, test_steps_, finetune_lr_);
+  return FineTuneAndDecode(backbone(), episode, test_inner_steps(), inner_lr());
 }
 
 }  // namespace fewner::meta

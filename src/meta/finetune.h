@@ -5,20 +5,22 @@
 
 #pragma once
 
-#include <memory>
+#include <functional>
+#include <vector>
 
-#include "meta/method.h"
+#include "meta/backbone_method.h"
 #include "models/backbone.h"
+#include "nn/module.h"
 #include "util/rng.h"
 
 namespace fewner::meta {
 
-/// Runs `steps` clipped SGD steps on the support loss against `net`'s
-/// parameters in place (callers snapshot/restore as needed); returns the last
-/// step's loss.
-double SgdOnSupport(models::Backbone* net,
-                    const std::vector<models::EncodedSentence>& support,
-                    const std::vector<bool>& valid_tags, int64_t steps, float lr);
+/// Runs `steps` SGD steps of size `lr` on `module`'s parameters in place,
+/// each on the gradient of `loss()` clipped to global norm 5 (callers
+/// snapshot/restore as needed); returns the last step's loss.  The
+/// support-set fine-tuning of FineTune, Reptile and the LM-CRF baselines.
+double SgdOnSupport(nn::Module* module, int64_t steps, float lr,
+                    const std::function<tensor::Tensor()>& loss);
 
 /// Test-time fine-tuning, shared by FineTune and Reptile: SgdOnSupport on the
 /// episode's support set, decode its query set, restore `net`'s parameters.
@@ -27,25 +29,18 @@ std::vector<std::vector<int64_t>> FineTuneAndDecode(
     float lr);
 
 /// Conventional train-then-fine-tune baseline.
-class FineTune : public FewShotMethod {
+class FineTune : public BackboneMethod {
  public:
   FineTune(const models::BackboneConfig& config, util::Rng* rng);
 
   std::string name() const override { return "FineTune"; }
 
-  void Train(const data::EpisodeSampler& sampler,
-             const models::EpisodeEncoder& encoder,
-             const TrainConfig& config) override;
-
   std::vector<std::vector<int64_t>> AdaptAndPredict(
       const models::EncodedEpisode& episode) override;
 
-  models::Backbone* backbone() { return backbone_.get(); }
-
  private:
-  std::unique_ptr<models::Backbone> backbone_;
-  int64_t test_steps_ = TrainConfig{}.inner_steps_test;
-  float finetune_lr_ = TrainConfig{}.inner_lr;
+  void Fit(const data::EpisodeSampler& sampler, const models::EpisodeEncoder& encoder,
+           const TrainConfig& config) override;
 };
 
 }  // namespace fewner::meta

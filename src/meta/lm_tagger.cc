@@ -1,5 +1,6 @@
 #include "meta/lm_tagger.h"
 
+#include "meta/finetune.h"
 #include "meta/parallel.h"
 #include "nn/optim.h"
 #include "tensor/autodiff.h"
@@ -61,11 +62,8 @@ Tensor LmCrfTagger::BatchLoss(const std::vector<models::EncodedSentence>& senten
                            1.0f / static_cast<float>(sentences.size()));
 }
 
-void LmCrfTagger::Train(const data::EpisodeSampler& sampler,
-                        const models::EpisodeEncoder& encoder,
-                        const TrainConfig& config) {
-  test_steps_ = config.inner_steps_test;
-  finetune_lr_ = config.inner_lr;
+void LmCrfTagger::Fit(const data::EpisodeSampler& sampler,
+                      const models::EpisodeEncoder& encoder, const TrainConfig& config) {
   nn::Adam optimizer(head_.Parameters(), config.meta_lr, 0.9f, 0.999f, 1e-8f,
                      config.weight_decay);
   // The same iterations × meta_batch episodes as MetaTrain, but one Adam step
@@ -94,16 +92,10 @@ std::vector<std::vector<int64_t>> LmCrfTagger::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
   // Fine-tune only the CRF stack on the support set; restore afterwards.
   std::vector<std::vector<float>> snapshot = nn::SnapshotParameterValues(&head_);
-  nn::Sgd sgd(head_.Parameters(), finetune_lr_);
-  for (int64_t step = 0; step < test_steps_; ++step) {
-    Tensor loss = BatchLoss(episode.support, episode.valid_tags);
-    std::vector<Tensor> grads =
-        tensor::autodiff::Grad(loss, nn::ParameterTensors(&head_));
-    nn::ClipGradNorm(&grads, 5.0f);
-    sgd.Step(grads);
-  }
+  SgdOnSupport(&head_, test_inner_steps(), inner_lr(),
+               [&] { return BatchLoss(episode.support, episode.valid_tags); });
   models::EncodedBatch query;
-  Tensor emissions = Emissions(episode.query, &query).Detach();
+  Tensor emissions = Emissions(episode.query, &query);
   std::vector<std::vector<int64_t>> predictions =
       head_.crf->ViterbiBatch(emissions, query.lengths, &episode.valid_tags);
   nn::RestoreParameterValues(&head_, snapshot);

@@ -28,10 +28,6 @@ class LmCrfTagger : public FewShotMethod {
 
   std::string name() const override { return models::LmKindName(encoder_->kind()); }
 
-  void Train(const data::EpisodeSampler& sampler,
-             const models::EpisodeEncoder& encoder,
-             const TrainConfig& config) override;
-
   std::vector<std::vector<int64_t>> AdaptAndPredict(
       const models::EncodedEpisode& episode) override;
 
@@ -44,6 +40,9 @@ class LmCrfTagger : public FewShotMethod {
                            const std::vector<bool>& valid_tags);
 
  private:
+  void Fit(const data::EpisodeSampler& sampler, const models::EpisodeEncoder& encoder,
+           const TrainConfig& config) override;
+
   /// Frozen features for a sentence, cached by source pointer (the LM never
   /// changes after pre-training, so features are reusable across episodes).
   tensor::Tensor Features(const models::EncodedSentence& sentence);
@@ -64,8 +63,6 @@ class LmCrfTagger : public FewShotMethod {
   std::shared_ptr<models::PretrainedLmEncoder> encoder_;
   Head head_;
   std::unordered_map<const data::Sentence*, tensor::Tensor> feature_cache_;
-  int64_t test_steps_ = TrainConfig{}.inner_steps_test;
-  float finetune_lr_ = TrainConfig{}.inner_lr;
 };
 
 }  // namespace fewner::meta

@@ -1,35 +1,14 @@
 #include "meta/maml.h"
 
 #include "meta/fewner.h"
-#include "meta/parallel.h"
 #include "tensor/autodiff.h"
 
 namespace fewner::meta {
 
 using tensor::Tensor;
 
-namespace {
-
-models::BackboneConfig WithoutConditioning(models::BackboneConfig config) {
-  config.conditioning = models::Conditioning::kNone;
-  config.context_dim = 0;
-  return config;
-}
-}  // namespace
-
-Maml::Maml(const models::BackboneConfig& config, util::Rng* rng) {
-  util::Rng init_rng = rng->Fork(0x3A31ull);
-  backbone_ =
-      std::make_unique<models::Backbone>(WithoutConditioning(config), &init_rng);
-}
-
-std::vector<Tensor> Maml::InnerAdapt(
-    const std::vector<models::EncodedSentence>& support,
-    const std::vector<bool>& valid_tags, int64_t steps, float inner_lr,
-    bool create_graph) const {
-  return InnerAdaptOn(backbone_.get(), support, valid_tags, steps, inner_lr,
-                      create_graph);
-}
+Maml::Maml(const models::BackboneConfig& config, util::Rng* rng)
+    : BackboneMethod(models::WithoutContext(config), rng, 0x3A31ull) {}
 
 std::vector<Tensor> Maml::InnerAdaptOn(
     models::Backbone* net, const std::vector<models::EncodedSentence>& support,
@@ -47,12 +26,9 @@ std::vector<Tensor> Maml::InnerAdaptOn(
                         });
 }
 
-void Maml::Train(const data::EpisodeSampler& sampler,
-                 const models::EpisodeEncoder& encoder, const TrainConfig& config) {
-  test_inner_steps_ = config.inner_steps_test;
-  inner_lr_ = config.inner_lr;
-  MetaTrain(
-      name(), backbone_.get(), BackboneMetaBatch(config.num_threads, backbone_.get()),
+void Maml::Fit(const data::EpisodeSampler& sampler,
+               const models::EpisodeEncoder& encoder, const TrainConfig& config) {
+  TrainTasks(
       config,
       [&](uint64_t episode_id, nn::Module* model,
           const std::vector<Tensor>& replica_params,
@@ -82,15 +58,15 @@ void Maml::Train(const data::EpisodeSampler& sampler,
 
 std::vector<std::vector<int64_t>> Maml::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
-  backbone_->SetTraining(false);
+  models::Backbone* net = backbone();
+  net->SetTraining(false);
   std::vector<Tensor> adapted =
-      InnerAdapt(episode.support, episode.valid_tags, test_inner_steps_, inner_lr_,
-                 /*create_graph=*/false);
-  std::vector<Tensor*> slots = backbone_->Parameters();
-  nn::ParameterPatch patch(slots, adapted);
+      InnerAdaptOn(net, episode.support, episode.valid_tags, test_inner_steps(),
+                   inner_lr(), /*create_graph=*/false);
+  nn::ParameterPatch patch(net->Parameters(), adapted);
   if (episode.query.empty()) return {};
-  return backbone_->DecodeBatch(models::PackBatch(episode.query), Tensor(),
-                                episode.valid_tags);
+  return net->DecodeBatch(models::PackBatch(episode.query), Tensor(),
+                          episode.valid_tags);
 }
 
 }  // namespace fewner::meta

@@ -7,50 +7,37 @@
 
 #pragma once
 
-#include <memory>
+#include <vector>
 
-#include "meta/method.h"
+#include "meta/backbone_method.h"
 #include "models/backbone.h"
 #include "util/rng.h"
 
 namespace fewner::meta {
 
 /// Full-network optimization-based meta-learner.
-class Maml : public FewShotMethod {
+class Maml : public BackboneMethod {
  public:
   /// `config.conditioning` is forced to kNone (MAML has no context params).
   Maml(const models::BackboneConfig& config, util::Rng* rng);
 
   std::string name() const override { return "MAML"; }
 
-  void Train(const data::EpisodeSampler& sampler,
-             const models::EpisodeEncoder& encoder,
-             const TrainConfig& config) override;
-
   std::vector<std::vector<int64_t>> AdaptAndPredict(
       const models::EncodedEpisode& episode) override;
 
-  /// Inner loop over all parameters; returns θ' (Eq. 1).  With `create_graph`
-  /// the adapted parameters remain differentiable w.r.t. the originals.
-  std::vector<tensor::Tensor> InnerAdapt(
-      const std::vector<models::EncodedSentence>& support,
-      const std::vector<bool>& valid_tags, int64_t steps, float inner_lr,
-      bool create_graph) const;
-
-  /// Same inner loop against an explicit backbone — the form the
-  /// episode-parallel trainer runs on per-worker replicas (the ParameterPatch
-  /// slot swaps stay confined to that replica).
+  /// Inner loop over all parameters of `net` (θ, or a per-worker replica of
+  /// it in the episode-parallel trainer, whose ParameterPatch slot swaps stay
+  /// confined to that replica); returns θ' (Eq. 1).  With `create_graph` the
+  /// adapted parameters remain differentiable w.r.t. the originals.
   static std::vector<tensor::Tensor> InnerAdaptOn(
       models::Backbone* net, const std::vector<models::EncodedSentence>& support,
       const std::vector<bool>& valid_tags, int64_t steps, float inner_lr,
       bool create_graph);
 
-  models::Backbone* backbone() { return backbone_.get(); }
-
  private:
-  std::unique_ptr<models::Backbone> backbone_;
-  int64_t test_inner_steps_ = TrainConfig{}.inner_steps_test;
-  float inner_lr_ = TrainConfig{}.inner_lr;
+  void Fit(const data::EpisodeSampler& sampler, const models::EpisodeEncoder& encoder,
+           const TrainConfig& config) override;
 };
 
 }  // namespace fewner::meta

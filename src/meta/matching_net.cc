@@ -1,21 +1,14 @@
 #include "meta/matching_net.h"
 
-#include "meta/parallel.h"
 #include "meta/token_head.h"
-#include "tensor/autodiff.h"
 #include "tensor/ops.h"
 
 namespace fewner::meta {
 
 using tensor::Tensor;
 
-MatchingNet::MatchingNet(const models::BackboneConfig& config, util::Rng* rng) {
-  models::BackboneConfig plain = config;
-  plain.conditioning = models::Conditioning::kNone;
-  plain.context_dim = 0;
-  util::Rng init_rng = rng->Fork(0x3A7Cull);
-  backbone_ = std::make_unique<models::Backbone>(plain, &init_rng);
-}
+MatchingNet::MatchingNet(const models::BackboneConfig& config, util::Rng* rng)
+    : BackboneMethod(models::WithoutContext(config), rng, 0x3A7Cull) {}
 
 Tensor MatchingNet::NormalizedFeatures(const models::Backbone& net,
                                        const models::EncodedBatch& batch) {
@@ -46,28 +39,19 @@ Tensor MatchingNet::EpisodeLoss(const models::Backbone& net,
   return MeanGoldNll(log_probs, query);
 }
 
-void MatchingNet::Train(const data::EpisodeSampler& sampler,
-                        const models::EpisodeEncoder& encoder,
-                        const TrainConfig& config) {
-  MetaTrain(
-      name(), backbone_.get(), BackboneMetaBatch(config.num_threads, backbone_.get()),
-      config,
-      [&](uint64_t episode_id, nn::Module* model,
-          const std::vector<Tensor>& replica_params,
-          std::vector<Tensor>* grads) -> double {
-        auto* net = static_cast<models::Backbone*>(model);
-        Tensor loss = EpisodeLoss(
-            *net, PrepareTrainingTask(sampler, encoder, config, episode_id, net));
-        *grads = tensor::autodiff::Grad(loss, replica_params);
-        return loss.item();
-      });
+void MatchingNet::Fit(const data::EpisodeSampler& sampler,
+                      const models::EpisodeEncoder& encoder, const TrainConfig& config) {
+  TrainOnLoss(sampler, encoder, config,
+              [this](const models::Backbone& net, const models::EncodedEpisode& task) {
+                return EpisodeLoss(net, task);
+              });
 }
 
 std::vector<std::vector<int64_t>> MatchingNet::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
-  backbone_->SetTraining(false);
+  backbone()->SetTraining(false);
   models::EncodedBatch query;
-  Tensor log_probs = QueryLogProbs(*backbone_, episode, &query);
+  Tensor log_probs = QueryLogProbs(*backbone(), episode, &query);
   return ArgmaxTags(log_probs, query);
 }
 

@@ -8,31 +8,26 @@
 
 #pragma once
 
-#include <memory>
-
-#include "meta/method.h"
+#include "meta/backbone_method.h"
 #include "models/backbone.h"
 #include "util/rng.h"
 
 namespace fewner::meta {
 
 /// Token-level matching network.
-class MatchingNet : public FewShotMethod {
+class MatchingNet : public BackboneMethod {
  public:
   MatchingNet(const models::BackboneConfig& config, util::Rng* rng);
 
   std::string name() const override { return "MatchingNet"; }
 
-  void Train(const data::EpisodeSampler& sampler,
-             const models::EpisodeEncoder& encoder,
-             const TrainConfig& config) override;
-
   std::vector<std::vector<int64_t>> AdaptAndPredict(
       const models::EncodedEpisode& episode) override;
 
-  models::Backbone* backbone() { return backbone_.get(); }
-
  private:
+  void Fit(const data::EpisodeSampler& sampler, const models::EpisodeEncoder& encoder,
+           const TrainConfig& config) override;
+
   // The forward helpers take the backbone explicitly so the episode-parallel
   // trainer can run them against per-worker replicas.
 
@@ -50,7 +45,6 @@ class MatchingNet : public FewShotMethod {
   tensor::Tensor EpisodeLoss(const models::Backbone& net,
                              const models::EncodedEpisode& episode) const;
 
-  std::unique_ptr<models::Backbone> backbone_;
   float temperature_ = 10.0f;  ///< sharpness of the cosine attention
 };
 

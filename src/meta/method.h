@@ -91,16 +91,36 @@ class FewShotMethod {
   virtual std::string name() const = 0;
 
   /// Trains on tasks drawn from `sampler` (the source/training split),
-  /// numerically encoded through `encoder`.
-  virtual void Train(const data::EpisodeSampler& sampler,
-                     const models::EpisodeEncoder& encoder,
-                     const TrainConfig& config) = 0;
+  /// numerically encoded through `encoder`.  Records the config's test-time
+  /// settings first, then runs the method's own Fit().
+  void Train(const data::EpisodeSampler& sampler,
+             const models::EpisodeEncoder& encoder, const TrainConfig& config) {
+    test_inner_steps_ = config.inner_steps_test;
+    inner_lr_ = config.inner_lr;
+    Fit(sampler, encoder, config);
+  }
 
   /// Adapts to the episode's support set and predicts tag sequences for every
   /// query sentence.  Must leave the method's trained state unchanged, so
   /// evaluation episodes are independent.
   virtual std::vector<std::vector<int64_t>> AdaptAndPredict(
       const models::EncodedEpisode& episode) = 0;
+
+  /// Test-time gradient steps on the support set and their learning rate,
+  /// for the methods that adapt by gradient descent; taken from the last
+  /// Train() config, or the TrainConfig defaults before training.
+  int64_t test_inner_steps() const { return test_inner_steps_; }
+  float inner_lr() const { return inner_lr_; }
+
+ protected:
+  /// The method's training, run by Train().
+  virtual void Fit(const data::EpisodeSampler& sampler,
+                   const models::EpisodeEncoder& encoder,
+                   const TrainConfig& config) = 0;
+
+ private:
+  int64_t test_inner_steps_ = TrainConfig{}.inner_steps_test;
+  float inner_lr_ = TrainConfig{}.inner_lr;
 };
 
 }  // namespace fewner::meta

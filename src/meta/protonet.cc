@@ -1,8 +1,6 @@
 #include "meta/protonet.h"
 
-#include "meta/parallel.h"
 #include "meta/token_head.h"
-#include "tensor/autodiff.h"
 #include "tensor/ops.h"
 
 namespace fewner::meta {
@@ -10,13 +8,8 @@ namespace fewner::meta {
 using tensor::Shape;
 using tensor::Tensor;
 
-ProtoNet::ProtoNet(const models::BackboneConfig& config, util::Rng* rng) {
-  models::BackboneConfig plain = config;
-  plain.conditioning = models::Conditioning::kNone;
-  plain.context_dim = 0;
-  util::Rng init_rng = rng->Fork(0x9207ull);
-  backbone_ = std::make_unique<models::Backbone>(plain, &init_rng);
-}
+ProtoNet::ProtoNet(const models::BackboneConfig& config, util::Rng* rng)
+    : BackboneMethod(models::WithoutContext(config), rng, 0x9207ull) {}
 
 Tensor ProtoNet::BuildPrototypes(const models::Backbone& net,
                                  const models::EncodedBatch& support,
@@ -77,31 +70,19 @@ Tensor ProtoNet::EpisodeLoss(const models::Backbone& net,
                      query, &class_present);
 }
 
-void ProtoNet::Train(const data::EpisodeSampler& sampler,
-                     const models::EpisodeEncoder& encoder,
-                     const TrainConfig& config) {
-  MetaTrain(
-      name(), backbone_.get(), BackboneMetaBatch(config.num_threads, backbone_.get()),
-      config,
-      [&](uint64_t episode_id, nn::Module* model,
-          const std::vector<Tensor>& replica_params,
-          std::vector<Tensor>* grads) -> double {
-        auto* net = static_cast<models::Backbone*>(model);
-        Tensor loss = EpisodeLoss(
-            *net, PrepareTrainingTask(sampler, encoder, config, episode_id, net));
-        *grads = tensor::autodiff::Grad(loss, replica_params);
-        return loss.item();
-      });
+void ProtoNet::Fit(const data::EpisodeSampler& sampler,
+                   const models::EpisodeEncoder& encoder, const TrainConfig& config) {
+  TrainOnLoss(sampler, encoder, config, EpisodeLoss);
 }
 
 std::vector<std::vector<int64_t>> ProtoNet::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
-  backbone_->SetTraining(false);
+  backbone()->SetTraining(false);
   std::vector<bool> class_present;
   Tensor prototypes =
-      BuildPrototypes(*backbone_, models::PackBatch(episode.support), &class_present);
+      BuildPrototypes(*backbone(), models::PackBatch(episode.support), &class_present);
   const models::EncodedBatch query = models::PackBatch(episode.query);
-  return ArgmaxTags(TokenLogits(*backbone_, query, prototypes, class_present), query);
+  return ArgmaxTags(TokenLogits(*backbone(), query, prototypes, class_present), query);
 }
 
 }  // namespace fewner::meta

@@ -7,31 +7,26 @@
 
 #pragma once
 
-#include <memory>
-
-#include "meta/method.h"
+#include "meta/backbone_method.h"
 #include "models/backbone.h"
 #include "util/rng.h"
 
 namespace fewner::meta {
 
 /// Token-level prototypical network.
-class ProtoNet : public FewShotMethod {
+class ProtoNet : public BackboneMethod {
  public:
   ProtoNet(const models::BackboneConfig& config, util::Rng* rng);
 
   std::string name() const override { return "ProtoNet"; }
 
-  void Train(const data::EpisodeSampler& sampler,
-             const models::EpisodeEncoder& encoder,
-             const TrainConfig& config) override;
-
   std::vector<std::vector<int64_t>> AdaptAndPredict(
       const models::EncodedEpisode& episode) override;
 
-  models::Backbone* backbone() { return backbone_.get(); }
-
  private:
+  void Fit(const data::EpisodeSampler& sampler, const models::EpisodeEncoder& encoder,
+           const TrainConfig& config) override;
+
   // The forward helpers take the backbone explicitly so the episode-parallel
   // trainer can run them against per-worker replicas.
 
@@ -51,8 +46,6 @@ class ProtoNet : public FewShotMethod {
   static tensor::Tensor BuildPrototypes(const models::Backbone& net,
                                         const models::EncodedBatch& support,
                                         std::vector<bool>* class_present);
-
-  std::unique_ptr<models::Backbone> backbone_;
 };
 
 }  // namespace fewner::meta

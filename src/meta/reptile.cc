@@ -1,31 +1,21 @@
 #include "meta/reptile.h"
 
 #include "meta/finetune.h"
-#include "meta/parallel.h"
 
 namespace fewner::meta {
 
 using tensor::Tensor;
 
-Reptile::Reptile(const models::BackboneConfig& config, util::Rng* rng) {
-  models::BackboneConfig plain = config;
-  plain.conditioning = models::Conditioning::kNone;
-  plain.context_dim = 0;
-  util::Rng init_rng = rng->Fork(0x4E97ull);
-  backbone_ = std::make_unique<models::Backbone>(plain, &init_rng);
-}
+Reptile::Reptile(const models::BackboneConfig& config, util::Rng* rng)
+    : BackboneMethod(models::WithoutContext(config), rng, 0x4E97ull) {}
 
-void Reptile::Train(const data::EpisodeSampler& sampler,
-                    const models::EpisodeEncoder& encoder,
-                    const TrainConfig& config) {
-  test_steps_ = config.inner_steps_test;
-  inner_lr_ = config.inner_lr;
+void Reptile::Fit(const data::EpisodeSampler& sampler,
+                  const models::EpisodeEncoder& encoder, const TrainConfig& config) {
   // ε: the meta step toward adapted weights.  Reuses meta_lr scaled up since
   // Reptile's update is a convex interpolation, not an Adam-preconditioned one.
   const float epsilon = config.meta_lr * 25.0f;
-  const std::vector<Tensor> theta = nn::ParameterTensors(backbone_.get());
-  MetaTrain(
-      name(), backbone_.get(), BackboneMetaBatch(config.num_threads, backbone_.get()),
+  const std::vector<Tensor> theta = nn::ParameterTensors(backbone());
+  TrainTasks(
       config,
       [&](uint64_t episode_id, nn::Module* model,
           const std::vector<Tensor>& replica_params,
@@ -33,8 +23,11 @@ void Reptile::Train(const data::EpisodeSampler& sampler,
         auto* net = static_cast<models::Backbone*>(model);
         models::EncodedEpisode enc =
             PrepareTrainingTask(sampler, encoder, config, episode_id, net);
-        const double loss = SgdOnSupport(net, enc.support, enc.valid_tags,
-                                         config.inner_steps_train, config.inner_lr);
+        const models::EncodedBatch support = models::PackBatch(enc.support);
+        const double loss =
+            SgdOnSupport(net, config.inner_steps_train, config.inner_lr, [&] {
+              return net->BatchLoss(support, Tensor(), enc.valid_tags);
+            });
         // The task's contribution is its parameter delta θ'_task − θ, reduced
         // like a (pseudo-)gradient.  The inner SGD mutated the replica's
         // leaves in place, so `replica_params` now reads the adapted values
@@ -51,7 +44,7 @@ void Reptile::Train(const data::EpisodeSampler& sampler,
       },
       // Batched Reptile step: θ ← θ + ε · mean_task(θ'_task − θ).
       [&](const std::vector<Tensor>& deltas) {
-        std::vector<Tensor*> slots = backbone_->Parameters();
+        std::vector<Tensor*> slots = backbone()->Parameters();
         for (size_t i = 0; i < slots.size(); ++i) {
           std::vector<float>* values = slots[i]->mutable_data();
           const auto& d = deltas[i].data();
@@ -62,7 +55,7 @@ void Reptile::Train(const data::EpisodeSampler& sampler,
 
 std::vector<std::vector<int64_t>> Reptile::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
-  return FineTuneAndDecode(backbone_.get(), episode, test_steps_, inner_lr_);
+  return FineTuneAndDecode(backbone(), episode, test_inner_steps(), inner_lr());
 }
 
 }  // namespace fewner::meta

@@ -12,34 +12,25 @@
 
 #pragma once
 
-#include <memory>
-
-#include "meta/method.h"
+#include "meta/backbone_method.h"
 #include "models/backbone.h"
 #include "util/rng.h"
 
 namespace fewner::meta {
 
 /// First-order initialization-learning baseline.
-class Reptile : public FewShotMethod {
+class Reptile : public BackboneMethod {
  public:
   Reptile(const models::BackboneConfig& config, util::Rng* rng);
 
   std::string name() const override { return "Reptile"; }
 
-  void Train(const data::EpisodeSampler& sampler,
-             const models::EpisodeEncoder& encoder,
-             const TrainConfig& config) override;
-
   std::vector<std::vector<int64_t>> AdaptAndPredict(
       const models::EncodedEpisode& episode) override;
 
-  models::Backbone* backbone() { return backbone_.get(); }
-
  private:
-  std::unique_ptr<models::Backbone> backbone_;
-  int64_t test_steps_ = TrainConfig{}.inner_steps_test;
-  float inner_lr_ = TrainConfig{}.inner_lr;
+  void Fit(const data::EpisodeSampler& sampler, const models::EpisodeEncoder& encoder,
+           const TrainConfig& config) override;
 };
 
 }  // namespace fewner::meta

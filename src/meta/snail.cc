@@ -13,9 +13,7 @@ using tensor::Shape;
 using tensor::Tensor;
 
 Snail::Model::Model(const models::BackboneConfig& config, util::Rng* rng) {
-  models::BackboneConfig plain = config;
-  plain.conditioning = models::Conditioning::kNone;
-  plain.context_dim = 0;
+  const models::BackboneConfig plain = models::WithoutContext(config);
   backbone = std::make_unique<models::Backbone>(plain, rng);
   RegisterModule("backbone", backbone.get());
 
@@ -82,8 +80,8 @@ Tensor Snail::EpisodeLoss(const Model& m, const models::EncodedEpisode& episode)
   return MeanGoldNll(log_probs, query);
 }
 
-void Snail::Train(const data::EpisodeSampler& sampler,
-                  const models::EpisodeEncoder& encoder, const TrainConfig& config) {
+void Snail::Fit(const data::EpisodeSampler& sampler,
+                const models::EpisodeEncoder& encoder, const TrainConfig& config) {
   Model* master = model_.get();
   ParallelMetaBatch batch(
       config.num_threads,

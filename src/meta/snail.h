@@ -28,10 +28,6 @@ class Snail : public FewShotMethod {
 
   std::string name() const override { return "SNAIL"; }
 
-  void Train(const data::EpisodeSampler& sampler,
-             const models::EpisodeEncoder& encoder,
-             const TrainConfig& config) override;
-
   std::vector<std::vector<int64_t>> AdaptAndPredict(
       const models::EncodedEpisode& episode) override;
 
@@ -56,6 +52,9 @@ class Snail : public FewShotMethod {
   Model* model() { return model_.get(); }
 
  private:
+  void Fit(const data::EpisodeSampler& sampler, const models::EpisodeEncoder& encoder,
+           const TrainConfig& config) override;
+
   // The forward helpers take the model explicitly so the episode-parallel
   // trainer can run them against per-worker replicas.
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "tensor/eval_mode.h"
 #include "tensor/ops.h"
 
 namespace fewner::models {
@@ -305,13 +304,8 @@ std::vector<std::vector<int64_t>> Backbone::RunsDecode(
   paths.reserve(static_cast<size_t>(lanes));
   ForEachRun(batch, prefix, phi, ForkLaneRngs(static_cast<size_t>(lanes)),
              [&](const EncodedBatch& run, const Tensor& hidden) {
-               // Cut the decode out of a live autodiff graph; under EvalMode
-               // no graph was built, so the copy would only burn an
-               // allocation.
-               const Tensor emissions = Emissions(run, hidden);
                std::vector<std::vector<int64_t>> run_paths = crf_->ViterbiBatch(
-                   tensor::EvalMode::active() ? emissions : emissions.Detach(),
-                   run.lengths, &valid_tags);
+                   Emissions(run, hidden), run.lengths, &valid_tags);
                for (auto& path : run_paths) paths.push_back(std::move(path));
              });
   return paths;

@@ -60,6 +60,14 @@ struct BackboneConfig {
   const std::vector<std::vector<float>>* pretrained_word_vectors = nullptr;
 };
 
+/// `config` without context parameters (kNone, context_dim 0): the backbone
+/// of every baseline.
+inline BackboneConfig WithoutContext(BackboneConfig config) {
+  config.conditioning = Conditioning::kNone;
+  config.context_dim = 0;
+  return config;
+}
+
 /// θ-only encoder features for one batch, computed once and reused across
 /// every φ a task tries (paper §3.2.4: adaptation touches only φ, so the
 /// pre-conditioning pipeline is constant within a task).  The split point

@@ -385,8 +385,9 @@ TEST(EvalModeModelTest, EmissionsBitwiseIdenticalAcrossModes) {
   meta::Fewner fewner(config, &rng);
   fewner.backbone()->SetTraining(false);
   models::EncodedEpisode episode = encoder.Encode(sampler.Sample(0));
-  Tensor phi = fewner.AdaptContext(episode.support, episode.valid_tags, 2, 0.1f,
-                                   /*create_graph=*/false)
+  Tensor phi = meta::Fewner::AdaptContextOn(*fewner.backbone(), episode.support,
+                                            episode.valid_tags, 2, 0.1f,
+                                            /*create_graph=*/false)
                    .Detach();
 
   const models::Backbone& net = *fewner.backbone();

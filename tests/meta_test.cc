@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 
 #include "data/synthetic.h"
@@ -17,6 +19,7 @@
 #include "meta/maml.h"
 #include "meta/matching_net.h"
 #include "meta/protonet.h"
+#include "meta/reptile.h"
 #include "meta/snail.h"
 #include "models/lm_encoder.h"
 #include "reference_oracles.h"
@@ -111,8 +114,9 @@ TEST_F(MetaTest, FewnerInnerLoopReducesSupportLoss) {
       models::PerSentenceLoss(*fewner.backbone(), episode.support, phi0,
                               episode.valid_tags)
           .item();
-  Tensor phi = fewner.AdaptContext(episode.support, episode.valid_tags, 6, 0.1f,
-                                   /*create_graph=*/false);
+  Tensor phi = Fewner::AdaptContextOn(*fewner.backbone(), episode.support,
+                                      episode.valid_tags, 6, 0.1f,
+                                      /*create_graph=*/false);
   const float after =
       models::PerSentenceLoss(*fewner.backbone(), episode.support, phi,
                               episode.valid_tags)
@@ -127,8 +131,9 @@ TEST_F(MetaTest, FewnerAdaptedPhiIsFunctionOfTheta) {
   Fewner fewner(config_, &rng);
   fewner.backbone()->SetTraining(false);
   models::EncodedEpisode episode = EncodeEpisode(0);
-  Tensor phi = fewner.AdaptContext(episode.support, episode.valid_tags, 2, 0.1f,
-                                   /*create_graph=*/true);
+  Tensor phi = Fewner::AdaptContextOn(*fewner.backbone(), episode.support,
+                                      episode.valid_tags, 2, 0.1f,
+                                      /*create_graph=*/true);
   Tensor probe = tensor::SumAll(tensor::Square(phi));
   auto grads = tensor::autodiff::Grad(
       probe, nn::ParameterTensors(fewner.backbone()));
@@ -171,8 +176,9 @@ TEST_F(MetaTest, MamlInnerAdaptReducesSupportLossAndRestores) {
       models::PerSentenceLoss(*maml.backbone(), episode.support, Tensor(),
                               episode.valid_tags)
           .item();
-  auto adapted = maml.InnerAdapt(episode.support, episode.valid_tags, 4, 0.1f,
-                                 /*create_graph=*/false);
+  auto adapted = Maml::InnerAdaptOn(maml.backbone(), episode.support,
+                                    episode.valid_tags, 4, 0.1f,
+                                    /*create_graph=*/false);
   float after = 0;
   {
     nn::ParameterPatch patch(maml.backbone()->Parameters(), adapted);
@@ -379,8 +385,8 @@ TEST_F(MetaTest, FewnerInnerStepMatchesFiniteDifferenceClipInactive) {
       << "no support sentence with an unclipped gradient in 20 episodes";
 
   const float lr = 0.1f;
-  Tensor phi = fewner.AdaptContext(support, valid_tags, 1, lr,
-                                   /*create_graph=*/false);
+  Tensor phi = Fewner::AdaptContextOn(*fewner.backbone(), support, valid_tags, 1,
+                                      lr, /*create_graph=*/false);
   const auto& actual = phi.data();
   ASSERT_EQ(actual.size(), g.size());
   for (size_t i = 0; i < g.size(); ++i) {
@@ -415,8 +421,9 @@ TEST_F(MetaTest, FewnerInnerStepMatchesFiniteDifferenceClipActive) {
 
   const float lr = 0.1f;
   const double clip_scale = 5.0 / norm;
-  Tensor phi = fewner.AdaptContext(big_support, episode.valid_tags, 1, lr,
-                                   /*create_graph=*/false);
+  Tensor phi = Fewner::AdaptContextOn(*fewner.backbone(), big_support,
+                                      episode.valid_tags, 1, lr,
+                                      /*create_graph=*/false);
   const auto& actual = phi.data();
   ASSERT_EQ(actual.size(), g.size());
   for (size_t i = 0; i < g.size(); ++i) {
@@ -518,6 +525,57 @@ TEST_F(MetaTest, TokenClassifiersTagEachQuerySentenceAsInAGroup) {
     }
   }
   EXPECT_GT(split_sets, 0) << "no query set split into several lane runs";
+}
+
+/// 64-bit FNV-1a over the bit patterns of `values`, slot after slot.
+uint64_t Fnv1a(const std::vector<std::vector<float>>& values) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const std::vector<float>& slot : values) {
+    for (float v : slot) {
+      uint32_t bits = 0;
+      std::memcpy(&bits, &v, sizeof(bits));
+      for (int byte = 0; byte < 4; ++byte) {
+        hash ^= (bits >> (8 * byte)) & 0xFFu;
+        hash *= 0x100000001b3ull;
+      }
+    }
+  }
+  return hash;
+}
+
+TEST_F(MetaTest, InitialThetaAndTestTimeSettingsArePinned) {
+  // Every method's initial θ, built from one config and seed, against hashes
+  // of the values each constructor produced when every method still built
+  // its own backbone: a changed salt, a lost kNone/context_dim override or a
+  // reordered parameter changes the hash.  Train() must record the
+  // test-time settings even when it runs no iteration.
+  TrainConfig config = train_config_;
+  config.iterations = 0;
+  config.inner_steps_test = 5;
+  config.inner_lr = 0.3f;
+  const auto check = [&](FewShotMethod* method, nn::Module* theta, uint64_t expected) {
+    EXPECT_EQ(Fnv1a(nn::SnapshotParameterValues(theta)), expected) << method->name();
+    EXPECT_EQ(method->test_inner_steps(), TrainConfig{}.inner_steps_test);
+    EXPECT_EQ(method->inner_lr(), TrainConfig{}.inner_lr);
+    method->Train(*sampler_, *encoder_, config);
+    EXPECT_EQ(method->test_inner_steps(), 5) << method->name();
+    EXPECT_EQ(method->inner_lr(), 0.3f) << method->name();
+  };
+  util::Rng rng(7);
+  Fewner fewner(config_, &rng);
+  check(&fewner, fewner.backbone(), 0x9c412d1656a0e4a9ull);
+  Maml maml(config_, &rng);
+  check(&maml, maml.backbone(), 0x9942d4117c692046ull);
+  FineTune finetune(config_, &rng);
+  check(&finetune, finetune.backbone(), 0x661bab40316b4b1full);
+  Reptile reptile(config_, &rng);
+  check(&reptile, reptile.backbone(), 0x96b421bc589a15f8ull);
+  ProtoNet protonet(config_, &rng);
+  check(&protonet, protonet.backbone(), 0xd4ce85b347abded6ull);
+  MatchingNet matching(config_, &rng);
+  check(&matching, matching.backbone(), 0x5589b88179371491ull);
+  Snail snail(config_, &rng);
+  check(&snail, snail.model(), 0xe02878d24c49dc59ull);
 }
 
 }  // namespace
