@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "util/status.h"
 #include "util/string_util.h"
@@ -18,14 +19,20 @@ void PerTypeScorer::AddEpisode(const models::EncodedEpisode& episode,
     FEWNER_CHECK(slot < types.size(), "slot " << slot << " outside episode ways");
     return types[slot];
   };
+  // Each query's spans, grouped by type name, go through the same counter as
+  // EpisodeF1, so the per-type counts always sum to the episode's counts.
   for (size_t q = 0; q < episode.query.size(); ++q) {
-    const auto gold = text::TagsToSpans(episode.query[q].tags);
-    const auto predicted = text::TagsToSpans(predictions[q]);
-    for (const auto& g : gold) ++counts_[type_of(g)].gold;
-    for (const auto& p : predicted) {
-      text::SpanCounts& c = counts_[type_of(p)];
-      ++c.returned;
-      if (std::find(gold.begin(), gold.end(), p) != gold.end()) ++c.correct;
+    // type name -> (gold spans, predicted spans) of this sentence
+    std::map<std::string, std::pair<std::vector<text::Span>, std::vector<text::Span>>>
+        by_type;
+    for (text::Span& g : text::TagsToSpans(episode.query[q].tags)) {
+      by_type[type_of(g)].first.push_back(std::move(g));
+    }
+    for (text::Span& p : text::TagsToSpans(predictions[q])) {
+      by_type[type_of(p)].second.push_back(std::move(p));
+    }
+    for (const auto& [type, spans] : by_type) {
+      counts_[type].Accumulate(spans.first, spans.second);
     }
   }
 }

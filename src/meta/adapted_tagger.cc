@@ -63,9 +63,7 @@ std::vector<std::vector<int64_t>> AdaptedTagger::TagAll(
   // One batched graph-free prefix + suffix for the whole query set, then
   // per-lane Viterbi — identical tags to a B=1 DecodeBatch per sentence (see
   // DESIGN.md §7; the prefix/suffix split changes no op in this regime).
-  tensor::EvalMode eval;
-  std::vector<std::vector<int64_t>> decoded = backbone_->DecodeBatchFromPrefix(
-      backbone_->EncodePrefix(models::PackBatch(*packed)), phi_, valid_tags_);
+  std::vector<std::vector<int64_t>> decoded = TagPrepared(PrepareWorkload(*packed));
   auto next = decoded.begin();
   for (size_t i = 0; i < sentences.size(); ++i) {
     if (sentences[i].length() > 0) tags[i] = std::move(*next++);

@@ -72,9 +72,8 @@ void LmCrfTagger::Fit(const data::EpisodeSampler& sampler,
     double loss_sum = 0.0;
     for (int64_t t = 0; t < config.meta_batch; ++t) {
       const int64_t seen = it * config.meta_batch + t + 1;
-      data::Episode episode = sampler.Sample(static_cast<uint64_t>(seen - 1));
-      BoundTrainingEpisode(config, &episode);
-      models::EncodedEpisode enc = encoder.Encode(episode);
+      const models::EncodedEpisode enc = PrepareTrainingTask(
+          sampler, encoder, config, static_cast<uint64_t>(seen - 1), nullptr);
       Tensor loss = BatchLoss(enc.support, enc.valid_tags);
       std::vector<Tensor> grads =
           tensor::autodiff::Grad(loss, nn::ParameterTensors(&head_));

@@ -124,7 +124,7 @@ std::vector<util::Rng> Backbone::ForkLaneRngs(size_t lanes) const {
   // them.  Returning unforked placeholders then keeps this path free of
   // writes to the shared Backbone, so concurrent eval-mode serving threads
   // never touch shared state (the tsan-labelled serving tests pin this).
-  if (!training() || config_.dropout <= 0.0f) {
+  if (CanCachePrefix()) {
     rngs.resize(lanes);
     return rngs;
   }
@@ -152,8 +152,8 @@ Tensor Backbone::ZeroContext() const {
 }
 
 Tensor Backbone::LaneDropout(const Tensor& x, const EncodedBatch& batch,
-                             const std::vector<util::Rng*>& lane_rngs) const {
-  if (!training() || config_.dropout <= 0.0f) return x;
+                             util::Rng* lane_rngs) const {
+  if (CanCachePrefix()) return x;
   const float p = config_.dropout;
   FEWNER_CHECK(p < 1.0f, "Dropout rate must be < 1");
   const float scale = 1.0f / (1.0f - p);
@@ -164,7 +164,7 @@ Tensor Backbone::LaneDropout(const Tensor& x, const EncodedBatch& batch,
   // activations are zeroed for free.
   std::vector<float> mask(static_cast<size_t>(x.numel()), 0.0f);
   for (int64_t b = 0; b < batch.batch; ++b) {
-    util::Rng* rng = lane_rngs[static_cast<size_t>(b)];
+    util::Rng* rng = lane_rngs + b;
     float* lane_mask = mask.data() + b * batch.max_len * d;
     const int64_t lane_elems = batch.lengths[static_cast<size_t>(b)] * d;
     for (int64_t i = 0; i < lane_elems; ++i) {
@@ -174,13 +174,9 @@ Tensor Backbone::LaneDropout(const Tensor& x, const EncodedBatch& batch,
   return tensor::Mul(x, Tensor::FromData(x.shape(), std::move(mask)));
 }
 
-Tensor Backbone::PrefixStage(const EncodedBatch& run,
-                             const std::vector<util::Rng*>& lane_rngs) const {
+Tensor Backbone::PrefixStage(const EncodedBatch& run, util::Rng* lane_rngs) const {
   const int64_t lanes = run.batch;
   const int64_t max_len = run.max_len;
-  FEWNER_CHECK(lanes > 0 && max_len > 0, "prefix stage on empty batch");
-  FEWNER_CHECK(static_cast<int64_t>(lane_rngs.size()) == lanes,
-               "prefix stage lane rng count mismatch");
   // One embedding gather + one CharCnn pass over all B*Lmax tokens.  Every op
   // here is per-row (GEMM rows are bitwise-independent under the ascending-k
   // kernel contract), so lane b's rows match a B=1 pass on its sentence.
@@ -201,8 +197,7 @@ Tensor Backbone::PrefixStage(const EncodedBatch& run,
 }
 
 Tensor Backbone::SuffixStage(const EncodedBatch& run, const Tensor& features,
-                             const Tensor& phi,
-                             const std::vector<util::Rng*>& lane_rngs) const {
+                             const Tensor& phi, util::Rng* lane_rngs) const {
   const int64_t lanes = run.batch;
   const int64_t max_len = run.max_len;
   Tensor hidden3 = features;  // kNone: the suffix is emission + CRF only
@@ -228,45 +223,39 @@ Tensor Backbone::SuffixStage(const EncodedBatch& run, const Tensor& features,
   return LaneDropout(hidden3, run, lane_rngs);
 }
 
-void Backbone::ForEachRun(const EncodedBatch* batch, const CachedPrefix* prefix,
-                          const Tensor& phi, std::vector<util::Rng> lane_rngs,
-                          const RunConsumer& consume, CachedPrefix* into) const {
-  if (prefix != nullptr) CheckPrefix(*prefix);
+CachedPrefix Backbone::EncodeRuns(const EncodedBatch& batch,
+                                  util::Rng* lane_rngs) const {
+  FEWNER_CHECK(batch.batch > 0 && batch.max_len > 0, "forward on empty batch");
+  CachedPrefix prefix;
+  prefix.batch = batch.batch;
+  prefix.max_len = batch.max_len;
+  prefix.conditioning = config_.conditioning;
   // Length-bucketed execution: each near-homogeneous lane run gets its own
   // padded forward, so a ragged batch does not pay every lane at the longest
-  // lane's length.  Lane values are identical under any partition.  A cached
-  // prefix was split by the same LaneRuns partition at EncodePrefix time.
-  const std::vector<std::pair<int64_t, int64_t>> spans =
-      prefix != nullptr ? std::vector<std::pair<int64_t, int64_t>>{}
-                        : LaneRuns(batch->lengths);
-  const size_t num_runs = prefix != nullptr ? prefix->runs.size() : spans.size();
-  int64_t begin = 0;
-  for (size_t r = 0; r < num_runs; ++r) {
-    const CachedPrefix::Run* cached =
-        prefix != nullptr ? &prefix->runs[r] : nullptr;
-    const int64_t count = cached != nullptr ? cached->batch.batch : spans[r].second;
-    std::vector<util::Rng*> run_rngs;
-    run_rngs.reserve(static_cast<size_t>(count));
-    for (int64_t b = begin; b < begin + count; ++b) {
-      run_rngs.push_back(&lane_rngs[static_cast<size_t>(b)]);
-    }
-    begin += count;
-    EncodedBatch sub;
-    const EncodedBatch* run = cached != nullptr ? &cached->batch : batch;
-    if (cached == nullptr && num_runs > 1) {
-      sub = SubBatch(*batch, begin - count, count);
-      run = &sub;
-    }
-    // Uncached runs build run r's prefix right before run r's suffix, so ops
-    // and autodiff nodes keep the same interleaving across runs.
-    Tensor features =
-        cached != nullptr ? cached->features : PrefixStage(*run, run_rngs);
-    if (into != nullptr) {  // EncodePrefix: keep the run, skip the suffix
-      into->runs.push_back({run == &sub ? std::move(sub) : *run, features});
-      continue;
-    }
-    consume(*run, SuffixStage(*run, features, phi, run_rngs));
+  // lane's length.  Lane values are identical under any partition.  A batch
+  // that is one run is read in place; only a split batch is repacked.
+  const std::vector<std::pair<int64_t, int64_t>> spans = LaneRuns(batch.lengths);
+  if (spans.size() == 1) prefix.source = &batch;
+  prefix.runs.resize(spans.size());
+  for (size_t r = 0; r < spans.size(); ++r) {
+    const auto [begin, count] = spans[r];
+    if (prefix.source == nullptr) prefix.runs[r].batch = SubBatch(batch, begin, count);
+    prefix.runs[r].features = PrefixStage(prefix.lanes(r), lane_rngs + begin);
   }
+  return prefix;
+}
+
+std::vector<Tensor> Backbone::SuffixRuns(const CachedPrefix& prefix, const Tensor& phi,
+                                         util::Rng* lane_rngs) const {
+  std::vector<Tensor> hidden;
+  hidden.reserve(prefix.runs.size());
+  int64_t begin = 0;
+  for (size_t r = 0; r < prefix.runs.size(); ++r) {
+    const EncodedBatch& run = prefix.lanes(r);
+    hidden.push_back(SuffixStage(run, prefix.runs[r].features, phi, lane_rngs + begin));
+    begin += run.batch;
+  }
+  return hidden;
 }
 
 Tensor Backbone::Emissions(const EncodedBatch& run, const Tensor& hidden) const {
@@ -275,76 +264,79 @@ Tensor Backbone::Emissions(const EncodedBatch& run, const Tensor& hidden) const 
   return tensor::Reshape(emissions2, Shape{run.batch, run.max_len, config_.max_tags});
 }
 
-Tensor Backbone::RunsLoss(const EncodedBatch* batch, const CachedPrefix* prefix,
-                          const Tensor& phi,
+Tensor Backbone::RunsLoss(const CachedPrefix& prefix, const std::vector<Tensor>& hidden,
                           const std::vector<bool>& valid_tags) const {
-  const int64_t lanes = prefix != nullptr ? prefix->batch : batch->batch;
-  FEWNER_CHECK(lanes > 0, "BatchLoss on empty batch");
   std::vector<Tensor> per_run;
-  ForEachRun(batch, prefix, phi, ForkLaneRngs(static_cast<size_t>(lanes)),
-             [&](const EncodedBatch& run, const Tensor& hidden) {
-               per_run.push_back(crf_->NegLogLikelihoodBatch(
-                   Emissions(run, hidden), run.tags, run.lengths, &valid_tags));
-             });
+  per_run.reserve(hidden.size());
+  for (size_t r = 0; r < hidden.size(); ++r) {
+    const EncodedBatch& run = prefix.lanes(r);
+    per_run.push_back(crf_->NegLogLikelihoodBatch(Emissions(run, hidden[r]), run.tags,
+                                                  run.lengths, &valid_tags));
+  }
   // Runs are contiguous and ascending, so the concatenated lane NLLs sit in
   // batch order; SumAllFloat folds them with left-associated scalar float
   // adds, so the total is bitwise-equal to summing one-sentence losses in
   // lane order (the per-sentence test oracle), not just to rounding.
-  Tensor per_lane = per_run.size() == 1 ? per_run.front()
-                                        : tensor::Concat(per_run, 0);
-  return tensor::SumAllFloat(per_lane);
+  return tensor::SumAllFloat(tensor::Concat(per_run, 0));
 }
 
 std::vector<std::vector<int64_t>> Backbone::RunsDecode(
-    const EncodedBatch* batch, const CachedPrefix* prefix, const Tensor& phi,
+    const CachedPrefix& prefix, const std::vector<Tensor>& hidden,
     const std::vector<bool>& valid_tags) const {
-  const int64_t lanes = prefix != nullptr ? prefix->batch : batch->batch;
-  FEWNER_CHECK(lanes > 0, "DecodeBatch on empty batch");
   std::vector<std::vector<int64_t>> paths;
-  paths.reserve(static_cast<size_t>(lanes));
-  ForEachRun(batch, prefix, phi, ForkLaneRngs(static_cast<size_t>(lanes)),
-             [&](const EncodedBatch& run, const Tensor& hidden) {
-               std::vector<std::vector<int64_t>> run_paths = crf_->ViterbiBatch(
-                   Emissions(run, hidden), run.lengths, &valid_tags);
-               for (auto& path : run_paths) paths.push_back(std::move(path));
-             });
+  paths.reserve(static_cast<size_t>(prefix.batch));
+  for (size_t r = 0; r < hidden.size(); ++r) {
+    const EncodedBatch& run = prefix.lanes(r);
+    for (auto& path :
+         crf_->ViterbiBatch(Emissions(run, hidden[r]), run.lengths, &valid_tags)) {
+      paths.push_back(std::move(path));
+    }
+  }
   return paths;
 }
 
 Tensor Backbone::TokenFeatures(const EncodedBatch& batch, const Tensor& phi) const {
-  FEWNER_CHECK(batch.batch > 0, "TokenFeatures on empty batch");
+  std::vector<util::Rng> lane_rngs = ForkLaneRngs(static_cast<size_t>(batch.batch));
+  const CachedPrefix prefix = EncodeRuns(batch, lane_rngs.data());
+  const std::vector<Tensor> hidden = SuffixRuns(prefix, phi, lane_rngs.data());
   const int64_t width = 2 * config_.hidden_dim;
   std::vector<Tensor> per_run;
-  ForEachRun(&batch, nullptr, phi, ForkLaneRngs(static_cast<size_t>(batch.batch)),
-             [&](const EncodedBatch& run, const Tensor& hidden) {
-               Tensor rows = tensor::Reshape(hidden, Shape{run.flat_size(), width});
-               std::vector<int64_t> real;  // lane-major real-token rows
-               for (int64_t b = 0; b < run.batch; ++b) {
-                 for (int64_t t = 0; t < run.lengths[static_cast<size_t>(b)]; ++t) {
-                   real.push_back(b * run.max_len + t);
-                 }
-               }
-               const bool padded = static_cast<int64_t>(real.size()) < run.flat_size();
-               per_run.push_back(padded ? tensor::IndexSelectRows(rows, real) : rows);
-             });
-  return per_run.size() == 1 ? per_run.front() : tensor::Concat(per_run, 0);
+  per_run.reserve(hidden.size());
+  for (size_t r = 0; r < hidden.size(); ++r) {
+    const EncodedBatch& run = prefix.lanes(r);
+    Tensor rows = tensor::Reshape(hidden[r], Shape{run.flat_size(), width});
+    std::vector<int64_t> real;  // lane-major real-token rows
+    for (int64_t b = 0; b < run.batch; ++b) {
+      for (int64_t t = 0; t < run.lengths[static_cast<size_t>(b)]; ++t) {
+        real.push_back(b * run.max_len + t);
+      }
+    }
+    const bool padded = static_cast<int64_t>(real.size()) < run.flat_size();
+    per_run.push_back(padded ? tensor::IndexSelectRows(rows, real) : rows);
+  }
+  return tensor::Concat(per_run, 0);
 }
 
 Tensor Backbone::BatchLoss(const EncodedBatch& batch, const Tensor& phi,
                            const std::vector<bool>& valid_tags) const {
-  return RunsLoss(&batch, nullptr, phi, valid_tags);
+  std::vector<util::Rng> lane_rngs = ForkLaneRngs(static_cast<size_t>(batch.batch));
+  const CachedPrefix prefix = EncodeRuns(batch, lane_rngs.data());
+  return RunsLoss(prefix, SuffixRuns(prefix, phi, lane_rngs.data()), valid_tags);
 }
 
 std::vector<std::vector<int64_t>> Backbone::DecodeBatch(
     const EncodedBatch& batch, const Tensor& phi,
     const std::vector<bool>& valid_tags) const {
-  return RunsDecode(&batch, nullptr, phi, valid_tags);
+  std::vector<util::Rng> lane_rngs = ForkLaneRngs(static_cast<size_t>(batch.batch));
+  const CachedPrefix prefix = EncodeRuns(batch, lane_rngs.data());
+  return RunsDecode(prefix, SuffixRuns(prefix, phi, lane_rngs.data()), valid_tags);
 }
 
 bool Backbone::CanCachePrefix() const {
-  // Mirrors the LaneDropout/ForkLaneRngs no-op condition: when this holds,
-  // the θ-head draws nothing and touches no shared RNG state, so reusing its
-  // output across calls is exactly what re-running it would compute.
+  // The one "dropout is off" test: when it holds, LaneDropout is an identity
+  // and ForkLaneRngs touches no shared RNG state, so the θ-head draws nothing
+  // and reusing its output across calls is exactly what re-running it would
+  // compute.
   return !training() || config_.dropout <= 0.0f;
 }
 
@@ -379,55 +371,56 @@ void Backbone::CheckPrefix(const CachedPrefix& prefix) const {
 }
 
 CachedPrefix Backbone::EncodePrefix(const EncodedBatch& batch) const {
-  FEWNER_CHECK(batch.batch > 0, "EncodePrefix on empty batch");
   FEWNER_CHECK(CanCachePrefix(),
                "EncodePrefix in the training-dropout regime: per-step masks "
                "make a shared prefix incorrect; use the per-step forward");
-  CachedPrefix prefix;
-  prefix.batch = batch.batch;
-  prefix.max_len = batch.max_len;
-  prefix.conditioning = config_.conditioning;
-  prefix.param_version = ParameterVersion();
-  // Same LaneRuns partition as BatchLoss/DecodeBatch, so suffix results fold
-  // back in the same lane order with the same padded shapes — bitwise parity
-  // with the uncached paths needs nothing further.
   // The lane streams are placeholders here: CanCachePrefix() makes every
   // LaneDropout an identity.
-  ForEachRun(&batch, nullptr, Tensor(), ForkLaneRngs(static_cast<size_t>(batch.batch)),
-             nullptr, &prefix);
+  std::vector<util::Rng> lane_rngs = ForkLaneRngs(static_cast<size_t>(batch.batch));
+  CachedPrefix prefix = EncodeRuns(batch, lane_rngs.data());
+  // The prefix outlives `batch`, so it owns its lanes.
+  if (prefix.source != nullptr) prefix.runs[0].batch = batch;
+  prefix.source = nullptr;
+  prefix.param_version = ParameterVersion();
   return prefix;
 }
 
 Tensor Backbone::BatchLossFromPrefix(const CachedPrefix& prefix,
                                      const Tensor& phi,
                                      const std::vector<bool>& valid_tags) const {
-  return RunsLoss(nullptr, &prefix, phi, valid_tags);
+  CheckPrefix(prefix);
+  std::vector<util::Rng> lane_rngs = ForkLaneRngs(static_cast<size_t>(prefix.batch));
+  return RunsLoss(prefix, SuffixRuns(prefix, phi, lane_rngs.data()), valid_tags);
 }
 
 Tensor Backbone::EmissionsFromPrefix(const CachedPrefix& prefix,
                                      const Tensor& phi) const {
+  CheckPrefix(prefix);
+  std::vector<util::Rng> lane_rngs = ForkLaneRngs(static_cast<size_t>(prefix.batch));
+  const std::vector<Tensor> hidden = SuffixRuns(prefix, phi, lane_rngs.data());
   std::vector<Tensor> per_run;
-  per_run.reserve(prefix.runs.size());
-  ForEachRun(nullptr, &prefix, phi, ForkLaneRngs(static_cast<size_t>(prefix.batch)),
-             [&](const EncodedBatch& run, const Tensor& hidden) {
-               Tensor em = Emissions(run, hidden);
-               if (run.max_len < prefix.max_len) {
-                 // Re-pad to the whole-batch Lmax; padding rows are zeros.
-                 em = tensor::Concat(
-                     {em, Tensor::Zeros(Shape{run.batch,
-                                              prefix.max_len - run.max_len,
-                                              config_.max_tags})},
-                     1);
-               }
-               per_run.push_back(em);
-             });
-  return per_run.size() == 1 ? per_run.front() : tensor::Concat(per_run, 0);
+  per_run.reserve(hidden.size());
+  for (size_t r = 0; r < hidden.size(); ++r) {
+    const EncodedBatch& run = prefix.lanes(r);
+    Tensor em = Emissions(run, hidden[r]);
+    if (run.max_len < prefix.max_len) {
+      // Re-pad to the whole-batch Lmax; padding rows are zeros.
+      em = tensor::Concat(
+          {em, Tensor::Zeros(Shape{run.batch, prefix.max_len - run.max_len,
+                                   config_.max_tags})},
+          1);
+    }
+    per_run.push_back(em);
+  }
+  return tensor::Concat(per_run, 0);
 }
 
 std::vector<std::vector<int64_t>> Backbone::DecodeBatchFromPrefix(
     const CachedPrefix& prefix, const Tensor& phi,
     const std::vector<bool>& valid_tags) const {
-  return RunsDecode(nullptr, &prefix, phi, valid_tags);
+  CheckPrefix(prefix);
+  std::vector<util::Rng> lane_rngs = ForkLaneRngs(static_cast<size_t>(prefix.batch));
+  return RunsDecode(prefix, SuffixRuns(prefix, phi, lane_rngs.data()), valid_tags);
 }
 
 }  // namespace fewner::models

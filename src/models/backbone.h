@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -77,9 +76,9 @@ inline BackboneConfig WithoutContext(BackboneConfig config) {
 /// BiGRU for kNone (the suffix is emission+CRF only).
 ///
 /// Each run holds the prefix stage's output for one run of the LaneRuns
-/// partition BatchLoss/DecodeBatch bucket with; the cached entry points feed
-/// it to the same run loop, so their results are bitwise-identical to the
-/// uncached paths.
+/// partition.  It is also the first half of every forward: the uncached entry
+/// points build one for their batch and run the suffix over it, exactly as
+/// the cached entry points do, so both give bitwise-identical results.
 ///
 /// A prefix is pinned to the θ that produced it via `param_version`; every
 /// consumer re-derives the backbone's current version and aborts on mismatch,
@@ -94,8 +93,15 @@ struct CachedPrefix {
   int64_t max_len = 0;        ///< longest lane (EmissionsFromPrefix pads to it)
   Conditioning conditioning = Conditioning::kNone;
   uint64_t param_version = 0; ///< Backbone::ParameterVersion() at build time
+  /// Inside an uncached forward over a one-run batch, the caller's batch,
+  /// read in place of a copy in runs[0]; null in every EncodePrefix result.
+  const EncodedBatch* source = nullptr;
 
   bool defined() const { return !runs.empty(); }
+  /// Run r's lanes.
+  const EncodedBatch& lanes(size_t r) const {
+    return source != nullptr ? *source : runs[r].batch;
+  }
 };
 
 /// The θ network: input representation + context encoder + tag decoder.
@@ -105,7 +111,7 @@ class Backbone : public nn::Module {
 
   /// Context-encoded features of every real token, [T, 2H] with T =
   /// Σ lengths: lane 0's rows, then lane 1's, and so on, padding dropped.
-  /// The same LaneRuns loop and per-lane (episode, call, lane) dropout
+  /// The same staged forward and per-lane (episode, call, lane) dropout
   /// streams as BatchLoss, stopping before the emission linear; φ must be
   /// defined iff the conditioning mode uses it.  The encoder entry of the
   /// token classifiers (ProtoNet, MatchingNet, SNAIL).
@@ -192,44 +198,39 @@ class Backbone : public nn::Module {
  private:
   /// Prefix stage over one run: embeddings + CharCNN + input lane dropout,
   /// then the encoder RNN for kFilm/kNone.  θ-only; for kConcat it stops at
-  /// the token features, since φ joins the RNN input.
-  tensor::Tensor PrefixStage(const EncodedBatch& run,
-                             const std::vector<util::Rng*>& lane_rngs) const;
+  /// the token features, since φ joins the RNN input.  Lane b of the run
+  /// draws from lane_rngs[b].
+  tensor::Tensor PrefixStage(const EncodedBatch& run, util::Rng* lane_rngs) const;
 
   /// Suffix stage over one run's prefix features: kConcat's φ-concat + RNN,
   /// then FiLM, then hidden lane dropout.  Returns [count, run_max_len, 2H].
-  tensor::Tensor SuffixStage(const EncodedBatch& run,
-                             const tensor::Tensor& features,
-                             const tensor::Tensor& phi,
-                             const std::vector<util::Rng*>& lane_rngs) const;
+  tensor::Tensor SuffixStage(const EncodedBatch& run, const tensor::Tensor& features,
+                             const tensor::Tensor& phi, util::Rng* lane_rngs) const;
 
-  /// Receives one run's lanes and suffix output [count, run_max_len, 2H].
-  using RunConsumer =
-      std::function<void(const EncodedBatch& run, const tensor::Tensor& hidden)>;
+  /// The first half of every forward: the prefix stage over each run of
+  /// `batch`'s LaneRuns partition, in ascending lane order; lane b draws from
+  /// lane_rngs[b].  No cacheability check and no version stamp: the result
+  /// may only outlive the call through EncodePrefix.
+  CachedPrefix EncodeRuns(const EncodedBatch& batch, util::Rng* lane_rngs) const;
 
-  /// The one LaneRuns loop every entry point shares: for each contiguous lane
-  /// run, in ascending lane order, the suffix stage, handed to `consume`.  Run features come from `prefix` when it is
-  /// non-null (cached: CheckPrefix'd, the prefix stage is skipped), otherwise
-  /// from the prefix stage over `batch`'s LaneRuns partition, run by run.
-  /// `lane_rngs[b]` supplies lane b's dropout draws (ForkLaneRngs).  With
-  /// `into` set (EncodePrefix), each run's lanes and prefix features are
-  /// appended to it instead and the suffix is not run.
-  void ForEachRun(const EncodedBatch* batch, const CachedPrefix* prefix,
-                  const tensor::Tensor& phi, std::vector<util::Rng> lane_rngs,
-                  const RunConsumer& consume, CachedPrefix* into = nullptr) const;
+  /// The second half: the suffix stage over each run of `prefix`, one
+  /// [count, run_max_len, 2H] tensor per run; lane b draws from lane_rngs[b].
+  std::vector<tensor::Tensor> SuffixRuns(const CachedPrefix& prefix,
+                                         const tensor::Tensor& phi,
+                                         util::Rng* lane_rngs) const;
 
   /// Emission scores [count, run_max_len, max_tags] of one run's suffix
   /// output.
   tensor::Tensor Emissions(const EncodedBatch& run, const tensor::Tensor& hidden) const;
 
-  /// Task loss and Viterbi decode over ForEachRun, shared by the uncached
-  /// and cached entry points.
-  tensor::Tensor RunsLoss(const EncodedBatch* batch, const CachedPrefix* prefix,
-                          const tensor::Tensor& phi,
+  /// Task-loss and Viterbi heads over SuffixRuns' output, shared by the
+  /// uncached and cached entry points.
+  tensor::Tensor RunsLoss(const CachedPrefix& prefix,
+                          const std::vector<tensor::Tensor>& hidden,
                           const std::vector<bool>& valid_tags) const;
   std::vector<std::vector<int64_t>> RunsDecode(
-      const EncodedBatch* batch, const CachedPrefix* prefix,
-      const tensor::Tensor& phi, const std::vector<bool>& valid_tags) const;
+      const CachedPrefix& prefix, const std::vector<tensor::Tensor>& hidden,
+      const std::vector<bool>& valid_tags) const;
 
   /// Aborts when `prefix` is stale (θ changed since EncodePrefix), was built
   /// for a different conditioning mode, or the backbone left the cacheable
@@ -241,9 +242,8 @@ class Backbone : public nn::Module {
   /// lane_rngs[b], in flat row-major order, and are kept scaled by 1/(1-p)
   /// or zeroed; padding rows get a 0 mask (dropped) without consuming draws,
   /// so a lane's draws do not depend on the padded width.
-  tensor::Tensor LaneDropout(const tensor::Tensor& x,
-                             const EncodedBatch& batch,
-                             const std::vector<util::Rng*>& lane_rngs) const;
+  tensor::Tensor LaneDropout(const tensor::Tensor& x, const EncodedBatch& batch,
+                             util::Rng* lane_rngs) const;
 
   /// Forks the per-lane dropout streams for the next BatchLoss-style call:
   /// stream id (call_index << 32) | lane, under the episode fork.  Advancing
@@ -251,7 +251,7 @@ class Backbone : public nn::Module {
   /// pass) while staying a pure function of (episode id, call index, lane).
   std::vector<util::Rng> ForkLaneRngs(size_t lanes) const;
 
-  /// Test-side oracles run the private run loop one sentence at a time.
+  /// Test-side oracles run the private stages one sentence at a time.
   friend struct BackboneTestPeer;
 
   BackboneConfig config_;

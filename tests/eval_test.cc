@@ -194,6 +194,42 @@ TEST(ErrorAnalysisTest, KindNames) {
 namespace fewner::eval {
 namespace {
 
+/// The span counts EpisodeF1 scores `predictions` with: one Accumulate per
+/// query sentence.
+text::SpanCounts EpisodeCounts(const models::EncodedEpisode& episode,
+                               const std::vector<std::vector<int64_t>>& predictions) {
+  text::SpanCounts counts;
+  for (size_t q = 0; q < episode.query.size(); ++q) {
+    counts.Accumulate(text::TagsToSpans(episode.query[q].tags),
+                      text::TagsToSpans(predictions[q]));
+  }
+  EXPECT_EQ(counts.F1(), EpisodeF1(episode, predictions));
+  return counts;
+}
+
+/// Adds one episode to `scorer` and checks that its per-type counts grew by
+/// exactly the episode's EpisodeF1 counts, summed over types.
+void AddAndCheckSum(PerTypeScorer* scorer, const models::EncodedEpisode& episode,
+                    const std::vector<std::string>& types,
+                    const std::vector<std::vector<int64_t>>& predictions) {
+  const auto total = [&] {
+    text::SpanCounts sum;
+    for (const auto& [type, c] : scorer->counts()) {
+      sum.gold += c.gold;
+      sum.returned += c.returned;
+      sum.correct += c.correct;
+    }
+    return sum;
+  };
+  const text::SpanCounts before = total();
+  scorer->AddEpisode(episode, types, predictions);
+  const text::SpanCounts after = total();
+  const text::SpanCounts expected = EpisodeCounts(episode, predictions);
+  EXPECT_EQ(after.gold - before.gold, expected.gold);
+  EXPECT_EQ(after.returned - before.returned, expected.returned);
+  EXPECT_EQ(after.correct - before.correct, expected.correct);
+}
+
 TEST(PerTypeScorerTest, AggregatesAcrossEpisodesByTypeName) {
   models::EncodedEpisode episode;
   episode.n_way = 2;
@@ -205,9 +241,9 @@ TEST(PerTypeScorerTest, AggregatesAcrossEpisodesByTypeName) {
 
   PerTypeScorer scorer;
   // Episode A: slot 0 = PER, slot 1 = LOC; prediction gets PER right.
-  scorer.AddEpisode(episode, {"PER", "LOC"}, {{text::BeginTag(0), 0, 0}});
+  AddAndCheckSum(&scorer, episode, {"PER", "LOC"}, {{text::BeginTag(0), 0, 0}});
   // Episode B: slot order flipped; prediction gets LOC (slot 0) right.
-  scorer.AddEpisode(episode, {"LOC", "PER"}, {{text::BeginTag(0), 0, 0}});
+  AddAndCheckSum(&scorer, episode, {"LOC", "PER"}, {{text::BeginTag(0), 0, 0}});
 
   const auto& counts = scorer.counts();
   ASSERT_TRUE(counts.count("PER"));
@@ -220,6 +256,32 @@ TEST(PerTypeScorerTest, AggregatesAcrossEpisodesByTypeName) {
   EXPECT_NEAR(counts.at("PER").Precision(), 1.0, 1e-9);
 }
 
+TEST(PerTypeScorerTest, RightBoundariesWrongSlotCountsForNeither) {
+  // Gold: slot 0 over tokens 0-1, slot 1 at token 3.  The prediction finds
+  // the first span's boundaries but types it as slot 1, and gets the second
+  // span right.
+  models::EncodedEpisode episode;
+  episode.n_way = 2;
+  episode.valid_tags = text::ValidTagMask(2, 5);
+  models::EncodedSentence sentence;
+  sentence.word_ids = {1, 2, 3, 4};
+  sentence.tags = {text::BeginTag(0), text::InsideTag(0), 0, text::BeginTag(1)};
+  episode.query.push_back(sentence);
+
+  PerTypeScorer scorer;
+  AddAndCheckSum(&scorer, episode, {"PER", "LOC"},
+                 {{text::BeginTag(1), text::InsideTag(1), 0, text::BeginTag(1)}});
+  const auto& counts = scorer.counts();
+  // PER: one gold span, nothing returned under PER.
+  EXPECT_EQ(counts.at("PER").gold, 1);
+  EXPECT_EQ(counts.at("PER").returned, 0);
+  EXPECT_EQ(counts.at("PER").correct, 0);
+  // LOC: one gold span, two returned, one of them exact.
+  EXPECT_EQ(counts.at("LOC").gold, 1);
+  EXPECT_EQ(counts.at("LOC").returned, 2);
+  EXPECT_EQ(counts.at("LOC").correct, 1);
+}
+
 TEST(PerTypeScorerTest, ReportAndCsv) {
   models::EncodedEpisode episode;
   episode.n_way = 1;
@@ -229,7 +291,7 @@ TEST(PerTypeScorerTest, ReportAndCsv) {
   sentence.tags = {text::BeginTag(0)};
   episode.query.push_back(sentence);
   PerTypeScorer scorer;
-  scorer.AddEpisode(episode, {"GENE"}, {{text::BeginTag(0)}});
+  AddAndCheckSum(&scorer, episode, {"GENE"}, {{text::BeginTag(0)}});
   EXPECT_NE(scorer.Report().find("GENE"), std::string::npos);
   const std::string csv = scorer.ToCsv();
   EXPECT_NE(csv.find("type,gold"), std::string::npos);

@@ -108,7 +108,7 @@ inline tensor::Tensor SingleSentenceNll(const tensor::Tensor& emissions,
 
 namespace fewner::models {
 
-/// Opens Backbone's private run loop to the oracles below.
+/// Opens Backbone's private stages to the oracles below.
 struct BackboneTestPeer {
   static tensor::Tensor PerSentenceLoss(const Backbone& net,
                                         const std::vector<EncodedSentence>& sentences,
@@ -121,16 +121,13 @@ struct BackboneTestPeer {
       const EncodedSentence& sentence = sentences[i];
       FEWNER_CHECK(sentence.length() > 0, "PerSentenceLoss on empty sentence");
       const EncodedBatch single = PackBatch({sentence});
-      net.ForEachRun(
-          &single, nullptr, phi, {lane_rngs[i]},
-          [&](const EncodedBatch& run, const tensor::Tensor& hidden) {
-            tensor::Tensor loss = tensor::Reshape(
-                net.crf_->NegLogLikelihoodBatch(net.Emissions(run, hidden),
-                                                sentence.tags, {sentence.length()},
-                                                &valid_tags),
-                tensor::Shape{});
-            total = total.defined() ? tensor::Add(total, loss) : loss;
-          });
+      const CachedPrefix prefix = net.EncodeRuns(single, &lane_rngs[i]);
+      const tensor::Tensor hidden = net.SuffixRuns(prefix, phi, &lane_rngs[i]).front();
+      tensor::Tensor loss = tensor::Reshape(
+          net.crf_->NegLogLikelihoodBatch(net.Emissions(single, hidden), sentence.tags,
+                                          {sentence.length()}, &valid_tags),
+          tensor::Shape{});
+      total = total.defined() ? tensor::Add(total, loss) : loss;
     }
     return total;
   }
